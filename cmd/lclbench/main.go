@@ -1550,10 +1550,11 @@ func startBlobServer(dir string) (*server.BlobServer, string, func(), error) {
 
 // runShardFleet runs n shard workers sequentially (one core) over paths,
 // all sharing cacheDir and, if non-empty, the remote store at remoteURL.
-// It returns the summed wall time and the highest exit code.
-func runShardFleet(n int, paths []string, cacheDir, remoteURL string, extra ...string) (time.Duration, int) {
+// It returns the summed wall time and the number of diagnostics the
+// workers reported.
+func runShardFleet(n int, paths []string, cacheDir, remoteURL string) (time.Duration, int) {
 	var total time.Duration
-	exit := 0
+	var out diagCounter
 	for i := 0; i < n; i++ {
 		args := []string{"-shard", fmt.Sprintf("%d/%d", i, n)}
 		if cacheDir != "" {
@@ -1562,16 +1563,29 @@ func runShardFleet(n int, paths []string, cacheDir, remoteURL string, extra ...s
 		if remoteURL != "" {
 			args = append(args, "-remote-cache", remoteURL)
 		}
-		args = append(args, extra...)
 		args = append(args, paths...)
 		start := time.Now()
-		code := cli.Run(args, io.Discard, io.Discard)
+		cli.Run(args, &out, io.Discard)
 		total += time.Since(start)
-		if code > exit {
-			exit = code
-		}
 	}
-	return total, exit
+	return total, out.n
+}
+
+// diagCounter counts the diagnostics written to it: each starts a line at
+// column 0, while its notes are indented.
+type diagCounter struct {
+	n   int
+	mid bool // inside a line
+}
+
+func (c *diagCounter) Write(p []byte) (int, error) {
+	for _, b := range p {
+		if !c.mid && b != ' ' && b != '\n' {
+			c.n++
+		}
+		c.mid = b != '\n'
+	}
+	return len(p), nil
 }
 
 // shardJSONL runs one shard worker with a diag-jsonl stream and returns
@@ -1667,7 +1681,7 @@ func runDistributedConfig(quick bool) {
 	meta := measure("golclint-bench-distributed/v1", "E22", func() {
 		// (a) Scaling ladder: a cold 4-shard fleet writing through to a
 		// shared remote store, at each corpus size.
-		fmt.Printf("%10s %8s %7s %12s %12s\n", "lines", "modules", "shards", "fleet(ms)", "ms/kloc")
+		fmt.Printf("%10s %8s %7s %12s %12s %10s\n", "lines", "modules", "shards", "fleet(ms)", "ms/kloc", "messages")
 		for _, modules := range moduleSizes {
 			p := testgen.Generate(testgen.Config{
 				Seed: 42, Modules: modules, FuncsPer: funcsPer, StmtsPer: stmtsPer,
@@ -1690,13 +1704,14 @@ func runDistributedConfig(quick bool) {
 			if fail(err) {
 				return
 			}
-			elapsed, _ := runShardFleet(fleetShards, paths, cacheDir, remoteURL)
+			elapsed, messages := runShardFleet(fleetShards, paths, cacheDir, remoteURL)
 			ms := float64(elapsed.Microseconds()) / 1000
 			row := distributedRow{
 				Lines: p.Lines, Modules: modules, Shards: fleetShards,
 				CheckMS: ms, MSPerKLOC: ms / (float64(p.Lines) / 1000),
+				Messages: messages,
 			}
-			fmt.Printf("%10d %8d %7d %12.1f %12.2f\n", row.Lines, row.Modules, row.Shards, row.CheckMS, row.MSPerKLOC)
+			fmt.Printf("%10d %8d %7d %12.1f %12.2f %10d\n", row.Lines, row.Modules, row.Shards, row.CheckMS, row.MSPerKLOC, row.Messages)
 			doc.Rows = append(doc.Rows, row)
 
 			if modules == moduleSizes[len(moduleSizes)-1] {

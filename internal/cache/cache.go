@@ -33,7 +33,6 @@ import (
 	"time"
 
 	"golclint/internal/atomicio"
-	"golclint/internal/ctoken"
 	"golclint/internal/diag"
 )
 
@@ -493,39 +492,17 @@ func (c *Cache) Put(key string, e *Entry) (int64, error) {
 }
 
 // DepsMatch reports whether every dependency fingerprint recorded in an
-// entry still holds against the current interface fingerprints. Symbols
-// absent from current read as "", so a symbol appearing in — or vanishing
-// from — the library invalidates exactly the entries that mention it.
-func DepsMatch(recorded, current map[string]string) bool {
+// entry still holds against current, the lookup of the current interface
+// fingerprints (a module entry's lookup reads the installed library's
+// fingerprint map; a function sub-entry's is the lazy per-symbol
+// environment). Absent symbols must look up as "", so a symbol appearing
+// in — or vanishing from — the library invalidates exactly the entries
+// that mention it.
+func DepsMatch(recorded map[string]string, current func(name string) string) bool {
 	for name, fp := range recorded {
-		if current[name] != fp {
+		if current(name) != fp {
 			return false
 		}
 	}
 	return true
-}
-
-// Identifiers extracts the deduplicated, sorted identifier set of a
-// preprocessed source text. The set over-approximates the module's
-// interface references (it includes locals and the module's own names,
-// whose fingerprints are stable whenever the source hash is), which keeps
-// dependency recording sound without an AST walk.
-func Identifiers(src string) []string {
-	lx := ctoken.NewLexer("", src)
-	seen := map[string]bool{}
-	for {
-		t := lx.Next()
-		if t.Kind == ctoken.EOF {
-			break
-		}
-		if t.Kind == ctoken.Ident {
-			seen[t.Text] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }

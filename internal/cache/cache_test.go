@@ -179,35 +179,24 @@ func TestKeyDiscrimination(t *testing.T) {
 }
 
 func TestDepsMatch(t *testing.T) {
+	lookup := func(fps map[string]string) func(string) string {
+		return func(name string) string { return fps[name] }
+	}
 	rec := map[string]string{"f": "h1", "g": ""}
-	if !DepsMatch(rec, map[string]string{"f": "h1"}) {
+	if !DepsMatch(rec, lookup(map[string]string{"f": "h1"})) {
 		t.Error("matching deps rejected")
 	}
-	if DepsMatch(rec, map[string]string{"f": "h2"}) {
+	if DepsMatch(rec, lookup(map[string]string{"f": "h2"})) {
 		t.Error("changed fingerprint accepted")
 	}
-	if DepsMatch(rec, map[string]string{"f": "h1", "g": "new"}) {
+	if DepsMatch(rec, lookup(map[string]string{"f": "h1", "g": "new"})) {
 		t.Error("newly appearing symbol accepted")
 	}
-	if DepsMatch(map[string]string{"f": "h1"}, nil) {
+	if DepsMatch(map[string]string{"f": "h1"}, lookup(nil)) {
 		t.Error("vanished symbol accepted")
 	}
-	if !DepsMatch(nil, map[string]string{"x": "y"}) {
+	if !DepsMatch(nil, lookup(map[string]string{"x": "y"})) {
 		t.Error("empty recorded deps must always match")
-	}
-}
-
-func TestIdentifiers(t *testing.T) {
-	ids := Identifiers("int f (int n) { return g (n) + g (n) + NULL_ish; } /* h */ \"str i\"")
-	want := []string{"NULL_ish", "f", "g", "n"}
-	if strings.Join(ids, ",") != strings.Join(want, ",") {
-		t.Errorf("identifiers = %v, want %v", ids, want)
-	}
-	// Keywords are not identifiers; comments and strings contribute none.
-	for _, id := range ids {
-		if id == "int" || id == "return" || id == "h" || id == "i" {
-			t.Errorf("non-identifier %q extracted", id)
-		}
 	}
 }
 

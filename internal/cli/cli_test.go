@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -112,5 +113,46 @@ func TestCFGWithCacheDir(t *testing.T) {
 	_, second, _ := runCLI(t, "-cache-dir", cacheDir, "-cfg", "leaky", src)
 	if first == "" || first != second {
 		t.Fatalf("-cfg output unstable under -cache-dir:\n%q\nvs\n%q", first, second)
+	}
+}
+
+// A cache directory shared by runs with and without -lib must keep their
+// results apart: the library's annotations change the diagnostics, and
+// only the dependency fingerprints recorded in the entries (all "" for a
+// run without a library) tell the two runs' entries apart, since the
+// module key covers the source alone. Both orders are checked.
+func TestCacheIsolatedAcrossLibraries(t *testing.T) {
+	dir := t.TempDir()
+	api := filepath.Join(dir, "api.h")
+	use := filepath.Join(dir, "use.c")
+	lib := filepath.Join(dir, "api.lib")
+	if err := os.WriteFile(api, []byte("extern /*@null@*/ char *get (void);\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(use, []byte("void use (void)\n{\n\tchar *p = get ();\n\t*p = 1;\n}\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, errOut := runCLI(t, "-dump-lib", lib, api); code != 0 {
+		t.Fatalf("dump exit = %d: %s", code, errOut)
+	}
+	_, coldLib, _ := runCLI(t, "-lib", lib, use)
+	_, coldPlain, _ := runCLI(t, use)
+	if !strings.Contains(coldLib, "null") {
+		t.Fatalf("cold -lib run reports no null dereference:\n%s", coldLib)
+	}
+	if strings.Contains(coldPlain, "null") {
+		t.Fatalf("cold run without a library reports a null dereference:\n%s", coldPlain)
+	}
+	for _, order := range [][]bool{{false, true}, {true, false}} {
+		cacheDir := filepath.Join(t.TempDir(), "cache")
+		for _, withLib := range order {
+			args, want := []string{"-cache-dir", cacheDir, use}, coldPlain
+			if withLib {
+				args, want = append([]string{"-lib", lib}, args...), coldLib
+			}
+			if _, got, _ := runCLI(t, args...); got != want {
+				t.Errorf("order %v, -lib=%v: output differs from the cold run:\n%s\nwant:\n%s", order, withLib, got, want)
+			}
+		}
 	}
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	"golclint/internal/cache"
@@ -215,5 +217,59 @@ func TestNilCacheOptionUnchangedBehavior(t *testing.T) {
 	}
 	if plain.Program == nil || len(plain.Units) == 0 {
 		t.Error("uncached run lost Program/Units")
+	}
+}
+
+// scanFile's identifier list is what both cache granularities record deps
+// for: every identifier token in the file, and nothing from keywords,
+// comments, or literals. Each segment's identifiers are exactly its own
+// tokens, so a function span's deps cover its span.
+func TestScanFileIdentifiers(t *testing.T) {
+	src := "int f (int n) { return g (n) + g (n) + NULL_ish; } /* h */ char *s = \"str i\"; int k;"
+	sc := scanFile("s.c", src)
+	if !sc.ok {
+		t.Fatal("clean file did not segment")
+	}
+	set := func(ids []string) string {
+		seen := map[string]bool{}
+		var out []string
+		for _, id := range ids {
+			if !seen[id] {
+				seen[id] = true
+				out = append(out, id)
+			}
+		}
+		sort.Strings(out)
+		return strings.Join(out, ",")
+	}
+	if got, want := set(sc.idents), "NULL_ish,f,g,k,n,s"; got != want {
+		t.Errorf("file identifiers = %s, want %s", got, want)
+	}
+	if len(sc.segs) != 3 {
+		t.Fatalf("segments = %d, want 3", len(sc.segs))
+	}
+	for i, want := range []string{"NULL_ish,f,g,n", "s", "k"} {
+		seg := sc.segs[i]
+		if got := set(seg.idents); got != want {
+			t.Errorf("segment %d (%q) identifiers = %s, want %s", i, src[seg.start:seg.end], got, want)
+		}
+	}
+	if sc.segs[0].open < 0 || sc.segs[1].open >= 0 {
+		t.Errorf("function segment not marked: %+v", sc.segs[:2])
+	}
+
+	// Unbalanced braces disable segmentation, never the identifier list
+	// module entries record.
+	bad := scanFile("b.c", "int f (void) { return a; } } int b;")
+	if bad.ok {
+		t.Errorf("unbalanced file segmented: %+v", bad.segs)
+	}
+	if got, want := set(bad.idents), "a,b,f"; got != want {
+		t.Errorf("unbalanced file identifiers = %s, want %s", got, want)
+	}
+	// A file with no tokens segments cleanly: it must not disable the
+	// function layer for the rest of its module.
+	if empty := scanFile("e.c", "/* nothing */\n"); !empty.ok || len(empty.idents) != 0 {
+		t.Errorf("empty file scan = %+v", empty)
 	}
 }

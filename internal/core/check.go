@@ -225,6 +225,70 @@ type fileFront struct {
 	expanded string
 	ppErrs   []string
 	pr       *cparse.Result
+	scan     fileScan // filled on cacheable misses only
+}
+
+// keyPrefix is what every cache key of one module check starts with: the
+// checker version and the flag fingerprint (computed once per module),
+// then, for keys that address stored entries, the run's modes. Explain
+// entries carry witnesses and validated entries carry validation tags, so
+// each mode addresses entries of its own: default runs never load
+// provenance-bearing entries, unvalidated entries are never replayed as
+// validated ones, and warm runs replay cold output byte for byte.
+type keyPrefix struct {
+	flagsFP           string
+	explain, validate bool
+}
+
+// hasher starts a key over the prefix, then kind when non-empty (the
+// module key has none; function-layer keys name theirs), then the mode
+// components when modes is set.
+func (p keyPrefix) hasher(kind string, modes bool) *cache.KeyHasher {
+	kh := cache.NewKeyHasher(Version, p.flagsFP)
+	if kind != "" {
+		kh.Component(kind)
+	}
+	if modes && p.explain {
+		kh.Component("explain")
+	}
+	if modes && p.validate {
+		kh.Component("validate")
+	}
+	return kh
+}
+
+// forEachIndex runs body(state, i, w) for every index i in [0, n) on up to
+// jobs workers; worker w owns the state newWorker(w) built (a preprocessor,
+// a parse session, a checker scratch state), so bodies reuse it without
+// locking. Bodies write index-ordered result slots that the caller replays
+// in index order, which keeps output identical at every worker count. With
+// jobs <= 1 everything runs serially on one state.
+func forEachIndex[S any](n, jobs int, newWorker func(w int) S, body func(s S, i, w int)) {
+	if jobs <= 1 {
+		s := newWorker(0)
+		for i := 0; i < n; i++ {
+			body(s, i, 0)
+		}
+		return
+	}
+	work := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < jobs; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := newWorker(w)
+			for i := range work {
+				body(s, i, w)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		work <- i
+	}
+	close(work)
+	wg.Wait()
 }
 
 // frontendJobs resolves the worker count for a fan-out over n files.
@@ -270,31 +334,9 @@ func preprocessFiles(names []string, files map[string]string, opt Options, m *ob
 		}
 	}
 	stopWall := m.StartPhaseWall(obs.PhasePreprocess)
-	if jobs <= 1 {
-		pp := cpp.NewShared(inc, base)
-		for i := range names {
-			doFile(pp, i, 0)
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				pp := cpp.NewShared(inc, base)
-				for i := range work {
-					doFile(pp, i, w)
-				}
-			}()
-		}
-		for i := range names {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+	forEachIndex(len(names), jobs,
+		func(int) *cpp.Preprocessor { return cpp.NewShared(inc, base) },
+		doFile)
 	stopWall()
 	m.EndSpan(phaseSpan)
 	return fronts
@@ -303,8 +345,9 @@ func preprocessFiles(names []string, files map[string]string, opt Options, m *ob
 // parseFiles parses every preprocessed file on up to jobs workers, each
 // owning one parse Session (reused token buffer) over a run-wide shared
 // identifier interner. Counters accumulate atomically, so they are
-// order-independent and identical at every worker count.
-func parseFiles(names []string, fronts []fileFront, m *obs.Metrics, jobs int, parent obs.SpanID) {
+// order-independent and identical at every worker count. With scan set,
+// each worker also makes the cache layers' lexical pass over its file.
+func parseFiles(names []string, fronts []fileFront, m *obs.Metrics, jobs int, parent obs.SpanID, scan bool) {
 	in := ctoken.NewInterner()
 	phaseSpan := m.StartSpan(obs.SpanPhase, "parse", parent, 0)
 	doFile := func(s *cparse.Session, i, w int) {
@@ -319,33 +362,14 @@ func parseFiles(names []string, fronts []fileFront, m *obs.Metrics, jobs int, pa
 			m.Add(obs.ASTNodes, int64(cast.CountNodes(pr.Unit)))
 		}
 		fronts[i].pr = pr
+		if scan {
+			fronts[i].scan = scanFile(names[i], fronts[i].expanded)
+		}
 	}
 	stopWall := m.StartPhaseWall(obs.PhaseParse)
-	if jobs <= 1 {
-		s := cparse.NewSession(in)
-		for i := range names {
-			doFile(s, i, 0)
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := cparse.NewSession(in)
-				for i := range work {
-					doFile(s, i, w)
-				}
-			}()
-		}
-		for i := range names {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+	forEachIndex(len(names), jobs,
+		func(int) *cparse.Session { return cparse.NewSession(in) },
+		doFile)
 	stopWall()
 	m.EndSpan(phaseSpan)
 }
@@ -383,29 +407,21 @@ func CheckSources(files map[string]string, opt Options) *Result {
 	// dependency fingerprints (the installed library). An opaque PreCheck
 	// without CacheDeps fails that, so such runs bypass the cache.
 	cacheable := opt.Cache != nil && (opt.PreCheck == nil || opt.CacheDeps != nil)
+	var kp keyPrefix
 	var key string
 	if cacheable {
 		// Preprocessing errors ride along in the hashed content so two
 		// includers yielding identical text but different errors cannot
 		// share an entry. Components stream straight into the hasher;
 		// nothing is concatenated just to be hashed.
-		kh := cache.NewKeyHasher(Version, fl.Fingerprint())
-		if opt.Explain {
-			// Explain entries carry witnesses, so they address a distinct
-			// key: default runs never load provenance-bearing entries, and
-			// warm -explain runs replay cold witnesses byte for byte.
-			kh.Component("explain")
-		}
-		if opt.Validate != nil {
-			// Validated entries carry validation tags; keep them apart from
-			// plain explain entries for the same reason.
-			kh.Component("validate")
-		}
+		kp = keyPrefix{flagsFP: fl.Fingerprint(), explain: opt.Explain, validate: opt.Validate != nil}
+		kh := kp.hasher("", true)
 		for i, name := range names {
 			kh.File(name, fronts[i].expanded, fronts[i].ppErrs)
 		}
 		key = kh.Sum()
-		if e, ok := opt.Cache.Get(key); ok && cache.DepsMatch(e.Deps, opt.CacheDeps) {
+		libFP := func(name string) string { return opt.CacheDeps[name] }
+		if e, ok := opt.Cache.Get(key); ok && cache.DepsMatch(e.Deps, libFP) {
 			res.Diags = e.Diags
 			res.Suppressed = e.Suppressed
 			res.ParseErrors = e.ParseErrors
@@ -430,7 +446,7 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		m.Add(obs.CacheMisses, 1)
 	}
 
-	parseFiles(names, fronts, m, jobs, modSpan)
+	parseFiles(names, fronts, m, jobs, modSpan, cacheable)
 
 	// Replay the per-file slots in serial name order: error ordering and
 	// suppression registration are exactly what a serial run produces.
@@ -470,7 +486,7 @@ func CheckSources(files map[string]string, opt Options) *Result {
 	// modules fail safe to the module-granular path).
 	var fnc *fnCacheCtx
 	if cacheable && opt.EnvFingerprint != nil && !opt.DisableFnCache && len(res.ParseErrors) == 0 {
-		fnc = newFnCacheCtx(names, fronts, prog, fl, opt)
+		fnc = newFnCacheCtx(names, fronts, prog, kp, opt)
 	}
 	checkProgram(prog, fl, rep, m, opt.Jobs, opt.Explain, modSpan, fnc)
 
@@ -507,7 +523,7 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		// stays valid exactly until one of those facts changes.
 		deps := map[string]string{}
 		for i := range names {
-			for _, id := range cache.Identifiers(fronts[i].expanded) {
+			for _, id := range fronts[i].scan.idents {
 				deps[id] = opt.CacheDeps[id]
 			}
 		}
@@ -621,7 +637,7 @@ func Frontend(files map[string]string, opt Options) *FrontendResult {
 
 	jobs := frontendJobs(opt.Jobs, len(names))
 	fronts := preprocessFiles(names, files, opt, m, jobs, m.RunSpan())
-	parseFiles(names, fronts, m, jobs, m.RunSpan())
+	parseFiles(names, fronts, m, jobs, m.RunSpan(), false)
 
 	fr := &FrontendResult{Units: make([]*cast.Unit, 0, len(names))}
 	for i := range names {

@@ -3,7 +3,6 @@ package core
 import (
 	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"golclint/internal/annot"
@@ -163,7 +162,7 @@ func checkProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, m *ob
 	// would have produced, and the cold run's counters are re-added, so
 	// the serial merge below cannot tell a replayed function from a
 	// checked one.
-	doFn := func(i int, fs *fnState) {
+	doFn := func(fs *fnState, i, _ int) {
 		if fnc != nil {
 			if fnc.hits[i] != nil {
 				results[i] = fnc.replayHit(i, m)
@@ -177,40 +176,16 @@ func checkProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, m *ob
 		}
 		results[i], _ = checkFunctionUnit(prog, fl, m, fns[i], fs, evPtr(i), nil)
 	}
-	if jobs <= 1 {
+	newWorker := func(w int) *fnState {
 		fs := newFnState()
+		fs.worker = w
 		fs.spanRoot = checkSpan
 		if explain {
 			fs.prov = &provRec{}
 		}
-		for i := range fns {
-			doFn(i, fs)
-		}
-	} else {
-		work := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < jobs; w++ {
-			w := w
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				fs := newFnState()
-				fs.worker = w
-				fs.spanRoot = checkSpan
-				if explain {
-					fs.prov = &provRec{}
-				}
-				for i := range work {
-					doFn(i, fs)
-				}
-			}()
-		}
-		for i := range fns {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
+		return fs
 	}
+	forEachIndex(len(fns), jobs, newWorker, doFn)
 	stopWall()
 	m.EndSpan(checkSpan)
 	if m.Enabled() {

@@ -28,7 +28,6 @@ import (
 	"golclint/internal/cast"
 	"golclint/internal/ctoken"
 	"golclint/internal/diag"
-	"golclint/internal/flags"
 	"golclint/internal/obs"
 	"golclint/internal/sema"
 )
@@ -39,7 +38,7 @@ type fnSpanInfo struct {
 	unit    string   // physical file the span came from
 	posFile string   // logical file of the span's first token
 	posLine int      // logical line of the span's first token
-	idents  []string // sorted identifier set of the span
+	idents  []string // identifier tokens of the span, in source order
 }
 
 // diagPair links a merged (reported) diagnostic back to the raw buffered
@@ -80,19 +79,42 @@ type segment struct {
 	open       int    // offset of the depth-0 '{', or -1
 	posFile    string // logical position of the first token
 	posLine    int
+	idents     []string // identifier tokens of the segment, in source order
 }
 
-// segmentFile splits one expanded file into top-level segments by lexing
-// it with a brace-depth counter: a segment ends at a depth-0 ';' or at the
-// '}' that returns the depth to 0. Comments and whitespace between
-// segments belong to no segment (suppression comments re-parse every run
-// and apply at merge time, so they need no invalidation). Returns ok=false
-// on lexical errors or unbalanced braces.
-func segmentFile(name, src string) (segs []segment, ok bool) {
+// fileScan is the one lexical pass a cacheable miss makes over an expanded
+// file, shared by both cache granularities: the module entry records deps
+// for every identifier in idents, and the function layer takes each span's
+// identifiers from its segment.
+type fileScan struct {
+	idents []string  // every identifier token, in source order
+	segs   []segment // top-level segments, in source order
+	ok     bool      // segs is usable: no lexical errors, balanced braces
+}
+
+// scanFile lexes one expanded file, collecting its identifiers and
+// splitting it into top-level segments with a brace-depth counter: a
+// segment ends at a depth-0 ';' or at the '}' that returns the depth to 0.
+// Comments and whitespace between segments belong to no segment
+// (suppression comments re-parse every run and apply at merge time, so
+// they need no invalidation). The identifier list always covers the whole
+// file — it over-approximates the file's interface references, which keeps
+// dependency recording sound without an AST walk — but ok is false on
+// lexical errors or unbalanced braces.
+func scanFile(name, src string) fileScan {
+	var sc fileScan
 	lx := ctoken.NewLexer(name, src)
 	depth := 0
+	balanced := true
 	pending := true
 	var cur segment
+	first := 0 // index in sc.idents of cur's first identifier
+	closeSeg := func(end int) {
+		cur.end = end
+		cur.idents = sc.idents[first:len(sc.idents):len(sc.idents)]
+		sc.segs = append(sc.segs, cur)
+		pending = true
+	}
 	for {
 		t := lx.Next()
 		if t.Kind == ctoken.EOF {
@@ -100,9 +122,12 @@ func segmentFile(name, src string) (segs []segment, ok bool) {
 		}
 		if pending {
 			cur = segment{start: t.Pos.Off, open: -1, posFile: t.Pos.File, posLine: t.Pos.Line}
+			first = len(sc.idents)
 			pending = false
 		}
 		switch t.Kind {
+		case ctoken.Ident:
+			sc.idents = append(sc.idents, t.Text)
 		case ctoken.LBrace:
 			if depth == 0 {
 				cur.open = t.Pos.Off
@@ -111,41 +136,38 @@ func segmentFile(name, src string) (segs []segment, ok bool) {
 		case ctoken.RBrace:
 			depth--
 			if depth < 0 {
-				return nil, false
+				balanced = false
+				depth = 0
 			}
 			if depth == 0 {
-				cur.end = t.Pos.Off + 1
-				segs = append(segs, cur)
-				pending = true
+				closeSeg(t.Pos.Off + 1)
 			}
 		case ctoken.Semi:
 			if depth == 0 {
-				cur.end = t.Pos.Off + 1
-				segs = append(segs, cur)
-				pending = true
+				closeSeg(t.Pos.Off + 1)
 			}
 		}
 	}
-	if len(lx.Errors()) > 0 || depth != 0 {
-		return nil, false
+	if !balanced || depth != 0 || len(lx.Errors()) > 0 {
+		return sc
 	}
 	if !pending {
 		// Trailing tokens with no terminator cannot be a function
 		// definition; keep them as a skeleton piece.
-		cur.end = len(src)
 		cur.open = -1
-		segs = append(segs, cur)
+		closeSeg(len(src))
 	}
-	return segs, true
+	sc.ok = true
+	return sc
 }
 
-// newFnCacheCtx builds the layer for one module: segments every file,
+// newFnCacheCtx builds the layer for one module from its files' scans:
 // aligns candidate segments with the AST's function definitions (a
 // function's span is the segment whose depth-0 '{' is its body's '{'),
 // hashes the skeleton, derives each function's sub-entry key, and probes
-// the store. Returns nil — layer disabled — if any file fails to segment
+// the store. Returns nil — layer disabled — if any file failed to segment
 // or any function definition fails to align.
-func newFnCacheCtx(names []string, fronts []fileFront, prog *sema.Program, fl *flags.Flags, opt Options) *fnCacheCtx {
+func newFnCacheCtx(names []string, fronts []fileFront, prog *sema.Program, kp keyPrefix, opt Options) *fnCacheCtx {
 	if len(prog.Units) != len(names) {
 		return nil
 	}
@@ -156,8 +178,8 @@ func newFnCacheCtx(names []string, fronts []fileFront, prog *sema.Program, fl *f
 	// A declaration edit — or a line shift that moves one — invalidates
 	// every function in the module; an edit inside one function's span
 	// leaves the skeleton (and therefore every other function) untouched.
-	skh := cache.NewKeyHasher(Version, fl.Fingerprint())
-	skh.Component("fnskeleton")
+	// The skeleton hash only feeds sub-entry keys, which carry the modes.
+	skh := kp.hasher("fnskeleton", false)
 
 	type spanned struct {
 		fn *cast.FuncDef
@@ -165,10 +187,10 @@ func newFnCacheCtx(names []string, fronts []fileFront, prog *sema.Program, fl *f
 	}
 	var all []spanned
 	for ui, u := range prog.Units {
-		segs, ok := segmentFile(names[ui], fronts[ui].expanded)
-		if !ok {
+		if !fronts[ui].scan.ok {
 			return nil
 		}
+		segs := fronts[ui].scan.segs
 		matched := make([]bool, len(segs))
 		byOpen := map[int]int{}
 		for si, s := range segs {
@@ -190,7 +212,7 @@ func newFnCacheCtx(names []string, fronts []fileFront, prog *sema.Program, fl *f
 			all = append(all, spanned{fn: f, sp: fnSpanInfo{
 				text: text, unit: names[ui],
 				posFile: s.posFile, posLine: s.posLine,
-				idents: cache.Identifiers(text),
+				idents: s.idents,
 			}})
 		}
 		skh.Component(names[ui])
@@ -227,14 +249,7 @@ func newFnCacheCtx(names []string, fronts []fileFront, prog *sema.Program, fl *f
 	}
 
 	for i := range ctx.fns {
-		kh := cache.NewKeyHasher(Version, fl.Fingerprint())
-		kh.Component("fnsub")
-		if opt.Explain {
-			kh.Component("explain")
-		}
-		if opt.Validate != nil {
-			kh.Component("validate")
-		}
+		kh := kp.hasher("fnsub", true)
 		kh.Component(skeleton)
 		sp := &ctx.spans[i]
 		kh.Component(sp.unit)
@@ -245,22 +260,11 @@ func newFnCacheCtx(names []string, fronts []fileFront, prog *sema.Program, fl *f
 			kh.Component(closures[i])
 		}
 		ctx.keys[i] = kh.Sum()
-		if e, ok := ctx.store.Get(ctx.keys[i]); ok && ctx.depsHold(e.Deps) {
+		if e, ok := ctx.store.Get(ctx.keys[i]); ok && cache.DepsMatch(e.Deps, ctx.env) {
 			ctx.hits[i] = e
 		}
 	}
 	return ctx
-}
-
-// depsHold reports whether every interface fingerprint a sub-entry
-// recorded still matches the current environment.
-func (ctx *fnCacheCtx) depsHold(deps map[string]string) bool {
-	for name, fp := range deps {
-		if ctx.env(name) != fp {
-			return false
-		}
-	}
-	return true
 }
 
 // callClosures computes, per function, a hash over the transitive set of

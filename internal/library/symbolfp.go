@@ -13,12 +13,13 @@ import (
 
 // SymbolFingerprints returns a lazy per-symbol interface-fingerprint lookup
 // over an analyzed program: the function-granular cache layer's view of the
-// environment a function body was checked against. Unlike Fingerprints,
-// which eagerly hashes every symbol a Library supplies, the returned lookup
-// computes a fingerprint only when a symbol is first queried — a module's
-// function sub-entries mention a few dozen symbols, while the installed
-// interface library can describe the whole program, so the lazy form keeps
-// per-module cost proportional to what the module actually uses.
+// environment a function body was checked against, and the one definition
+// of a symbol's interface fingerprint (Fingerprints applies it to every
+// symbol a Library supplies). The lookup computes a fingerprint only when
+// a symbol is first queried — a module's function sub-entries mention a
+// few dozen symbols, while the installed interface library can describe
+// the whole program, so the lazy form keeps per-module cost proportional
+// to what the module actually uses.
 //
 // The fingerprint covers everything a checked function body can observe
 // about the symbol: signature, annotations, transitive type structure
@@ -27,8 +28,7 @@ import (
 // declaration conservatively invalidates its users). Symbols absent from
 // the program — and builtin signatures, which are fixed per checker
 // version — fingerprint as "". A name shared across namespaces combines
-// function, global, and enum digests deterministically, mirroring
-// Fingerprints.
+// function, global, and enum digests deterministically, in that order.
 //
 // The lookup memoizes per name and is not safe for concurrent use; the
 // checker queries it serially while assembling sub-entry keys.
@@ -63,17 +63,18 @@ func SymbolFingerprints(prog *sema.Program) func(name string) string {
 	}
 }
 
-// digest hashes one symbol-content string the way computeFingerprints does.
+// digest hashes one symbol's content string.
 func digest(content string) string {
 	sum := sha256.Sum256([]byte(content))
 	return hex.EncodeToString(sum[:16])
 }
 
 // typePtrShape canonically serializes the type subgraph reachable from
-// root, walking *ctypes.Type pointers directly (the post-install program's
-// live type graph) instead of a Library's flattened table. Pointers are
+// root, walking the program's live *ctypes.Type graph. Pointers are
 // remapped to DFS-visit-order local ids, so the shape depends only on the
-// reachable structure and recursive types terminate. Memoized per root.
+// reachable structure — two libraries storing an identical type at
+// different table positions fingerprint identically — and recursive types
+// terminate because revisited nodes are not expanded. Memoized per root.
 func typePtrShape(root *ctypes.Type, memo map[*ctypes.Type]string) string {
 	if root == nil {
 		return "nil"
