@@ -16,7 +16,7 @@
 //	internal/core     THE PAPER'S CONTRIBUTION: the modular checker
 //	internal/diag     two-level messages + stylized-comment suppression
 //	internal/flags    check toggles (-allimponly, gc mode, ...)
-//	internal/obs      instrumentation: phase timers, counters, JSONL tracing
+//	internal/obs      instrumentation: spans (phase totals, wall times, traces), counters
 //	internal/library  serialized interface libraries (modular re-checking)
 //	internal/interp   run-time baseline (dmalloc/Purify stand-in)
 //	internal/testgen  synthetic programs with seeded, labelled bugs

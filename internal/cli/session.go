@@ -167,10 +167,14 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 	if metrics == nil && (cfg.Stats || cfg.StatsJSON != "" || cfg.TracePath != "" || cfg.TraceOut != "" || cfg.HotN > 0) {
 		metrics = obs.New()
 	}
-	if cfg.TraceOut != "" || cfg.HotN > 0 {
+	// Every span output is a view of the recorded spans; without one, spans
+	// still time the phases but are never kept.
+	var run obs.Span
+	if cfg.TracePath != "" || cfg.TraceOut != "" || cfg.HotN > 0 {
 		metrics.EnableSpans()
-		metrics.BeginRunSpan("golclint")
+		run = metrics.BeginRunSpan("golclint")
 	}
+	var tracer *obs.JSONLTracer
 	if cfg.TracePath != "" {
 		tf, err := os.Create(cfg.TracePath)
 		if err != nil {
@@ -178,8 +182,7 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 			return 2, nil
 		}
 		defer tf.Close()
-		tracer := obs.NewJSONLTracer(tf)
-		metrics.SetTracer(tracer)
+		tracer = obs.NewJSONLTracer(tf)
 		defer func() {
 			if err := tracer.Err(); err != nil {
 				fmt.Fprintf(stderr, "golclint: trace: %v\n", err)
@@ -232,6 +235,19 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 		jsonlWriter = NewDiagJSONLWriter(jsonlBuf, moduleLabel(files), diagRenderMode(cfg.Explain, cfg.Validate))
 		opt.DiagSink = jsonlWriter.Sink
 	}
+	// Under -explain (or -validate) the -trace stream ends with one event
+	// per settled diagnostic, after the function events; the trace sink
+	// collects them ahead of any other sink.
+	var traceDiags []obs.DiagEvent
+	if tracer != nil && opt.Explain {
+		next := opt.DiagSink
+		opt.DiagSink = func(d *diag.Diagnostic) {
+			traceDiags = append(traceDiags, traceDiagEvent(d))
+			if next != nil {
+				next(d)
+			}
+		}
+	}
 	if cfg.Validate {
 		opt.Validate = func(prog *sema.Program, diags []*diag.Diagnostic) {
 			validatepkg.Apply(prog, diags, validatepkg.Options{})
@@ -274,7 +290,13 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 		res = core.CheckSources(files, opt)
 	}
 
-	metrics.EndSpan(metrics.RunSpan())
+	metrics.EndSpan(&run)
+	if tracer != nil {
+		tracer.Funcs(metrics.Spans())
+		for _, ev := range traceDiags {
+			tracer.Diag(ev)
+		}
+	}
 
 	if jsonlWriter != nil {
 		err := jsonlBuf.Flush()
@@ -357,6 +379,13 @@ func (s *Session) Execute(cfg *Config, files map[string]string, inc cpp.Includer
 		return 1, res
 	}
 	return 0, res
+}
+
+// traceDiagEvent renders one diagnostic as a -trace diag event.
+func traceDiagEvent(d *diag.Diagnostic) obs.DiagEvent {
+	sd := StatsDiags([]*diag.Diagnostic{d})[0]
+	return obs.DiagEvent{Code: sd.Code, File: d.Pos.File, Line: d.Pos.Line, Msg: sd.Msg,
+		Ref: sd.Ref, Witness: sd.Witness, Validation: sd.Validation}
 }
 
 // moduleLabel names a module for diag-jsonl records: its sorted file names.

@@ -86,7 +86,7 @@ type fnState struct {
 	// worker is this fnState's index in the checking fan-out (0 when
 	// serial); spanRoot is the span the worker's function spans attach to.
 	worker   int
-	spanRoot obs.SpanID
+	spanRoot *obs.Span
 
 	// prov is the provenance recorder, allocated once per worker when
 	// -explain is on and nil otherwise (the hot path tests one pointer).

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"time"
 
 	"golclint/internal/cache"
 	"golclint/internal/cast"
@@ -317,28 +316,24 @@ func baseDefines(opt Options) *cpp.BaseDefines {
 // one reusable Preprocessor over the run's shared base-define table. The
 // expanded text (headers, defines, and includes inlined) is both the
 // parser input and the content the cache key addresses.
-func preprocessFiles(names []string, files map[string]string, opt Options, m *obs.Metrics, jobs int, parent obs.SpanID) []fileFront {
+func preprocessFiles(names []string, files map[string]string, opt Options, m *obs.Metrics, jobs int, parent *obs.Span) []fileFront {
 	fronts := make([]fileFront, len(names))
 	base := baseDefines(opt)
 	inc := stackedIncluder{primary: opt.Includes}
-	phaseSpan := m.StartSpan(obs.SpanPhase, "preprocess", parent, 0)
+	phaseSpan := m.StartSpan(obs.SpanPhase, obs.PhasePreprocess, "preprocess", parent, 0)
 	doFile := func(pp *cpp.Preprocessor, i, w int) {
 		pp.Reset()
-		fileSpan := m.StartSpan(obs.SpanFile, names[i], phaseSpan, w)
-		stop := m.StartPhase(obs.PhasePreprocess)
+		fileSpan := m.StartSpan(obs.SpanFile, obs.PhasePreprocess, names[i], &phaseSpan, w)
 		fronts[i].expanded = pp.Process(names[i], files[names[i]])
-		stop()
-		m.EndSpan(fileSpan)
+		m.EndSpan(&fileSpan)
 		for _, e := range pp.Errors() {
 			fronts[i].ppErrs = append(fronts[i].ppErrs, e.Error())
 		}
 	}
-	stopWall := m.StartPhaseWall(obs.PhasePreprocess)
 	forEachIndex(len(names), jobs,
 		func(int) *cpp.Preprocessor { return cpp.NewShared(inc, base) },
 		doFile)
-	stopWall()
-	m.EndSpan(phaseSpan)
+	m.EndSpan(&phaseSpan)
 	return fronts
 }
 
@@ -346,16 +341,15 @@ func preprocessFiles(names []string, files map[string]string, opt Options, m *ob
 // owning one parse Session (reused token buffer) over a run-wide shared
 // identifier interner. Counters accumulate atomically, so they are
 // order-independent and identical at every worker count. With scan set,
-// each worker also makes the cache layers' lexical pass over its file.
-func parseFiles(names []string, fronts []fileFront, m *obs.Metrics, jobs int, parent obs.SpanID, scan bool) {
+// each worker also makes the cache layers' lexical pass over its file
+// (timed as the fncache phase, which owns segmentation).
+func parseFiles(names []string, fronts []fileFront, m *obs.Metrics, jobs int, parent *obs.Span, scan bool) {
 	in := ctoken.NewInterner()
-	phaseSpan := m.StartSpan(obs.SpanPhase, "parse", parent, 0)
+	phaseSpan := m.StartSpan(obs.SpanPhase, obs.PhaseParse, "parse", parent, 0)
 	doFile := func(s *cparse.Session, i, w int) {
-		fileSpan := m.StartSpan(obs.SpanFile, names[i], phaseSpan, w)
-		stop := m.StartPhase(obs.PhaseParse)
+		fileSpan := m.StartSpan(obs.SpanFile, obs.PhaseParse, names[i], &phaseSpan, w)
 		pr := s.Parse(names[i], fronts[i].expanded)
-		stop()
-		m.EndSpan(fileSpan)
+		m.EndSpan(&fileSpan)
 		if m.Enabled() {
 			m.Add(obs.TokensLexed, int64(pr.Tokens))
 			m.Add(obs.AnnotationsConsumed, int64(pr.Annots))
@@ -363,15 +357,15 @@ func parseFiles(names []string, fronts []fileFront, m *obs.Metrics, jobs int, pa
 		}
 		fronts[i].pr = pr
 		if scan {
+			scanSpan := m.StartSpan(obs.SpanFile, obs.PhaseFnCache, names[i], &phaseSpan, w)
 			fronts[i].scan = scanFile(names[i], fronts[i].expanded)
+			m.EndSpan(&scanSpan)
 		}
 	}
-	stopWall := m.StartPhaseWall(obs.PhaseParse)
 	forEachIndex(len(names), jobs,
 		func(int) *cparse.Session { return cparse.NewSession(in) },
 		doFile)
-	stopWall()
-	m.EndSpan(phaseSpan)
+	m.EndSpan(&phaseSpan)
 }
 
 // CheckSources preprocesses, parses, analyzes, and checks a set of source
@@ -383,10 +377,6 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		fl = flags.Default()
 	}
 	m := opt.Metrics
-	var runStart time.Time
-	if m.Enabled() {
-		runStart = time.Now()
-	}
 	res := &Result{}
 	rep := diag.NewReporter(fl.MaxMessages)
 
@@ -396,11 +386,13 @@ func CheckSources(files map[string]string, opt Options) *Result {
 	}
 	sort.Strings(names)
 
-	modSpan := m.StartSpan(obs.SpanModule, moduleName(names), m.RunSpan(), 0)
-	defer m.EndSpan(modSpan)
+	// The module span is the run's end-to-end total; it closes once the
+	// result is settled, before diagnostics stream to the sink.
+	run := m.RunSpan()
+	modSpan := m.StartSpan(obs.SpanModule, obs.NumPhases, moduleName(names), &run, 0)
 
 	jobs := frontendJobs(opt.Jobs, len(names))
-	fronts := preprocessFiles(names, files, opt, m, jobs, modSpan)
+	fronts := preprocessFiles(names, files, opt, m, jobs, &modSpan)
 
 	// Caching is sound only when everything that can influence the outcome
 	// is in the key (version, flags, expanded sources) or in the recorded
@@ -414,6 +406,7 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		// includers yielding identical text but different errors cannot
 		// share an entry. Components stream straight into the hasher;
 		// nothing is concatenated just to be hashed.
+		lookup := m.StartSpan(obs.SpanPhase, obs.PhaseCacheLookup, "cache lookup", &modSpan, 0)
 		kp = keyPrefix{flagsFP: fl.Fingerprint(), explain: opt.Explain, validate: opt.Validate != nil}
 		kh := kp.hasher("", true)
 		for i, name := range names {
@@ -421,7 +414,10 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		}
 		key = kh.Sum()
 		libFP := func(name string) string { return opt.CacheDeps[name] }
-		if e, ok := opt.Cache.Get(key); ok && cache.DepsMatch(e.Deps, libFP) {
+		e, ok := opt.Cache.Get(key)
+		ok = ok && cache.DepsMatch(e.Deps, libFP)
+		m.EndSpan(&lookup)
+		if ok {
 			res.Diags = e.Diags
 			res.Suppressed = e.Suppressed
 			res.ParseErrors = e.ParseErrors
@@ -433,20 +429,19 @@ func CheckSources(files map[string]string, opt Options) *Result {
 				m.Add(obs.CacheBytes, e.Size)
 				m.Add(obs.DiagnosticsEmitted, int64(len(res.Diags)))
 				m.Add(obs.DiagnosticsSuppressed, int64(res.Suppressed))
-				m.AddTotal(time.Since(runStart))
 			}
 			// Validation tags replay from the entry; recount them so warm
 			// -stats-json agrees with the cold run (wall time stays zero:
 			// nothing was re-executed).
 			countValidation(m, res.Diags)
-			traceDiags(m, opt.Explain, res.Diags)
+			m.EndSpan(&modSpan)
 			emitDiags(opt.DiagSink, res.Diags)
 			return res
 		}
 		m.Add(obs.CacheMisses, 1)
 	}
 
-	parseFiles(names, fronts, m, jobs, modSpan, cacheable)
+	parseFiles(names, fronts, m, jobs, &modSpan, cacheable)
 
 	// Replay the per-file slots in serial name order: error ordering and
 	// suppression registration are exactly what a serial run produces.
@@ -465,8 +460,7 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		units = append(units, pr.Unit)
 	}
 
-	semaSpan := m.StartSpan(obs.SpanPhase, "sema", modSpan, 0)
-	stopSema := m.StartPhase(obs.PhaseSema)
+	semaSpan := m.StartSpan(obs.SpanPhase, obs.PhaseSema, "sema", &modSpan, 0)
 	prog := sema.Analyze(units)
 	for _, e := range prog.Errors {
 		res.SemaErrors = append(res.SemaErrors, e.Error())
@@ -476,8 +470,7 @@ func CheckSources(files map[string]string, opt Options) *Result {
 			res.SemaErrors = append(res.SemaErrors, err.Error())
 		}
 	}
-	stopSema()
-	m.EndSpan(semaSpan)
+	m.EndSpan(&semaSpan)
 
 	// The function-granular cache layer engages only when the module key
 	// missed but the run is otherwise cacheable, the caller supplied an
@@ -486,9 +479,11 @@ func CheckSources(files map[string]string, opt Options) *Result {
 	// modules fail safe to the module-granular path).
 	var fnc *fnCacheCtx
 	if cacheable && opt.EnvFingerprint != nil && !opt.DisableFnCache && len(res.ParseErrors) == 0 {
+		setup := m.StartSpan(obs.SpanPhase, obs.PhaseFnCache, "fncache setup", &modSpan, 0)
 		fnc = newFnCacheCtx(names, fronts, prog, kp, opt)
+		m.EndSpan(&setup)
 	}
-	checkProgram(prog, fl, rep, m, opt.Jobs, opt.Explain, modSpan, fnc)
+	checkProgram(prog, fl, rep, m, opt.Jobs, opt.Explain, &modSpan, fnc)
 
 	res.Diags = rep.Diags()
 	res.Suppressed = rep.Suppressed()
@@ -498,22 +493,20 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		// Counterexample validation runs over the final sorted diagnostics,
 		// before the cache write, so the tags it attaches are stored and
 		// warm runs replay them byte for byte.
-		var vStart time.Time
-		if m.Enabled() {
-			vStart = time.Now()
-		}
+		vs := m.StartSpan(obs.SpanPhase, obs.PhaseValidate, "validate", &modSpan, 0)
 		opt.Validate(prog, res.Diags)
-		if m.Enabled() {
-			m.Add(obs.ValidateWallNS, time.Since(vStart).Nanoseconds())
-		}
+		m.EndSpan(&vs)
+		m.Add(obs.ValidateWallNS, vs.Dur)
 		countValidation(m, res.Diags)
 	}
-	if fnc != nil {
-		// Store per-function sub-entries after validation, so replayed
-		// functions carry their validation tags as well as their witnesses.
-		fnc.finish()
-	}
 	if cacheable {
+		write := m.StartSpan(obs.SpanPhase, obs.PhaseCacheWrite, "cache write", &modSpan, 0)
+		if fnc != nil {
+			// Store per-function sub-entries after validation, so replayed
+			// functions carry their validation tags as well as their
+			// witnesses.
+			fnc.finish()
+		}
 		entry := &cache.Entry{
 			Diags:      res.Diags,
 			Suppressed: res.Suppressed, ParseErrors: res.ParseErrors, SemaErrors: res.SemaErrors,
@@ -538,13 +531,13 @@ func CheckSources(files map[string]string, opt Options) *Result {
 		if n, err := opt.Cache.Put(key, entry); err == nil {
 			m.Add(obs.CacheBytes, n)
 		}
+		m.EndSpan(&write)
 	}
 	if m.Enabled() {
 		m.Add(obs.DiagnosticsEmitted, int64(len(res.Diags)))
 		m.Add(obs.DiagnosticsSuppressed, int64(res.Suppressed))
-		m.AddTotal(time.Since(runStart))
 	}
-	traceDiags(m, opt.Explain, res.Diags)
+	m.EndSpan(&modSpan)
 	emitDiags(opt.DiagSink, res.Diags)
 	return res
 }
@@ -590,28 +583,6 @@ func countValidation(m *obs.Metrics, ds []*diag.Diagnostic) {
 	}
 }
 
-// traceDiags emits one JSONL event per finalized diagnostic, witness
-// included. Only -explain runs emit them (after sorting, so the stream is
-// deterministic at every worker count, cold or cached).
-func traceDiags(m *obs.Metrics, explain bool, ds []*diag.Diagnostic) {
-	if !explain || !m.Enabled() {
-		return
-	}
-	for _, d := range ds {
-		ev := obs.DiagEvent{Code: d.Code.String(), File: d.Pos.File, Line: d.Pos.Line, Msg: d.Msg}
-		if d.Prov != nil {
-			ev.Ref = d.Prov.Ref
-			for _, s := range d.Prov.Steps {
-				ev.Witness = append(ev.Witness, s.StepString())
-			}
-		}
-		if d.Validation != nil && d.Validation.Tag != diag.ValidationNone {
-			ev.Validation = d.Validation.Tag.String()
-		}
-		m.TraceDiag(ev)
-	}
-}
-
 // FrontendResult is the outcome of running only the frontend (preprocess
 // and parse) over a set of files.
 type FrontendResult struct {
@@ -636,8 +607,9 @@ func Frontend(files map[string]string, opt Options) *FrontendResult {
 	sort.Strings(names)
 
 	jobs := frontendJobs(opt.Jobs, len(names))
-	fronts := preprocessFiles(names, files, opt, m, jobs, m.RunSpan())
-	parseFiles(names, fronts, m, jobs, m.RunSpan(), false)
+	run := m.RunSpan()
+	fronts := preprocessFiles(names, files, opt, m, jobs, &run)
+	parseFiles(names, fronts, m, jobs, &run, false)
 
 	fr := &FrontendResult{Units: make([]*cast.Unit, 0, len(names))}
 	for i := range names {

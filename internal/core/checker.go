@@ -8,7 +8,6 @@ import (
 	"golclint/internal/annot"
 	"golclint/internal/cache"
 	"golclint/internal/cast"
-	"golclint/internal/cfg"
 	"golclint/internal/ctoken"
 	"golclint/internal/ctypes"
 	"golclint/internal/diag"
@@ -44,22 +43,17 @@ type checker struct {
 	// complete by construction.
 	uses map[string]bool
 
-	// Per-function instrumentation (reset by checkFunctionTimed).
+	// Per-function instrumentation (a checker analyzes one function).
 	fnMerges  int
 	fnBlocks  int
 	fnEdges   int
-	fnCFG     time.Duration
 	fnMergeNS time.Duration
 
 	// prov is the provenance recorder (-explain); nil when recording is
 	// off, so hooks cost one pointer test. Aliases fs.prov.
 	prov *provRec
-	// traceEv, when non-nil, receives this function's FuncEvent instead of
-	// the tracer being called directly from the worker; checkProgram
-	// replays the buffered events in deterministic serial order.
-	traceEv *obs.FuncEvent
-	// fnSpan is the current function's span (0 when spans are off).
-	fnSpan obs.SpanID
+	// fnSpan is the current function's span; the CFG build nests in it.
+	fnSpan obs.Span
 
 	// breakStates/continueStates collect the stores flowing to the
 	// innermost enclosing loop/switch exit and loop head.
@@ -104,14 +98,14 @@ func (c *checker) disp(id RefID) string { return c.fs.in.displayOf(id) }
 // CheckProgram checks every function definition in the program, filing
 // diagnostics with the reporter.
 func CheckProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter) {
-	checkProgram(prog, fl, rep, nil, 1, false, 0, nil)
+	checkProgram(prog, fl, rep, nil, 1, false, nil, nil)
 }
 
 // CheckProgramExplain is CheckProgram with provenance recording switched on
 // or off explicitly; the E19 benchmark uses it to measure the overhead of
 // the recorder in both states over an otherwise identical pass.
 func CheckProgramExplain(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, explain bool) {
-	checkProgram(prog, fl, rep, nil, 1, explain, 0, nil)
+	checkProgram(prog, fl, rep, nil, 1, explain, nil, nil)
 }
 
 // checkProgram fans the program's function definitions out to jobs
@@ -124,7 +118,7 @@ func CheckProgramExplain(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter
 // byte-identical at every worker count. Each worker owns one fnState
 // (interner + arena + CFG builder), so per-function allocations amortize
 // across its whole share of the run.
-func checkProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, m *obs.Metrics, jobs int, explain bool, parent obs.SpanID, fnc *fnCacheCtx) {
+func checkProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, m *obs.Metrics, jobs int, explain bool, parent *obs.Span, fnc *fnCacheCtx) {
 	var fns []*cast.FuncDef
 	for _, u := range prog.Units {
 		fns = append(fns, u.Funcs()...)
@@ -139,63 +133,43 @@ func checkProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, m *ob
 		jobs = len(fns)
 	}
 	m.SetJobs(jobs)
-	checkSpan := m.StartSpan(obs.SpanPhase, "check", parent, 0)
-	stopWall := m.StartCheckWall()
+	checkSpan := m.StartSpan(obs.SpanPhase, obs.PhaseCheck, "check", parent, 0)
 	// results[i] is function i's ordered diagnostic buffer; workers write
-	// disjoint slots, so no lock is needed. events[i] likewise buffers
-	// function i's trace event so the tracer sees them in serial order
-	// (byte-identical JSONL at every worker count), matching how the diag
-	// buffers are replayed.
+	// disjoint slots, so no lock is needed.
 	results := make([][]*diag.Diagnostic, len(fns))
-	var events []obs.FuncEvent
-	if m.Enabled() {
-		events = make([]obs.FuncEvent, len(fns))
-	}
-	evPtr := func(i int) *obs.FuncEvent {
-		if events == nil {
-			return nil
-		}
-		return &events[i]
-	}
 	// doFn checks (or replays) function i. Cache hits skip the checker
 	// entirely: the stored raw buffer stands in for the one the checker
 	// would have produced, and the cold run's counters are re-added, so
 	// the serial merge below cannot tell a replayed function from a
-	// checked one.
-	doFn := func(fs *fnState, i, _ int) {
+	// checked one. Only checked functions open a function span, so the
+	// -trace stream lists exactly the functions this run analyzed.
+	doFn := func(fs *fnState, i, w int) {
 		if fnc != nil {
 			if fnc.hits[i] != nil {
+				replay := m.StartSpan(obs.SpanPhase, obs.PhaseFnCache, "replay", &checkSpan, w)
 				results[i] = fnc.replayHit(i, m)
+				m.EndSpan(&replay)
 				return
 			}
 			m.Add(obs.FuncCacheMisses, 1)
 			fnc.uses[i] = map[string]bool{}
-			results[i], fnc.stats[i] = checkFunctionUnit(prog, fl, m, fns[i], fs, evPtr(i), fnc.uses[i])
+			results[i], fnc.stats[i] = checkFunctionUnit(prog, fl, m, fns[i], i, fs, fnc.uses[i])
 			fnc.results[i] = results[i]
 			return
 		}
-		results[i], _ = checkFunctionUnit(prog, fl, m, fns[i], fs, evPtr(i), nil)
+		results[i], _ = checkFunctionUnit(prog, fl, m, fns[i], i, fs, nil)
 	}
 	newWorker := func(w int) *fnState {
 		fs := newFnState()
 		fs.worker = w
-		fs.spanRoot = checkSpan
+		fs.spanRoot = &checkSpan
 		if explain {
 			fs.prov = &provRec{}
 		}
 		return fs
 	}
 	forEachIndex(len(fns), jobs, newWorker, doFn)
-	stopWall()
-	m.EndSpan(checkSpan)
-	if m.Enabled() {
-		for i := range events {
-			if events[i].Func == "" {
-				continue // replayed from the function cache; no event
-			}
-			m.TraceFunc(events[i])
-		}
-	}
+	m.EndSpan(&checkSpan)
 	mergeDiags(rep, results, fnc)
 }
 
@@ -205,11 +179,11 @@ func checkProgram(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, m *ob
 // cross-function deduplication are deliberately NOT applied here — the
 // buffer records everything in report order and mergeDiags replays it
 // through the run's reporter, which applies them in serial order.
-func checkFunctionUnit(prog *sema.Program, fl *flags.Flags, m *obs.Metrics, f *cast.FuncDef, fs *fnState, ev *obs.FuncEvent, uses map[string]bool) ([]*diag.Diagnostic, cache.FnStats) {
+func checkFunctionUnit(prog *sema.Program, fl *flags.Flags, m *obs.Metrics, f *cast.FuncDef, seq int, fs *fnState, uses map[string]bool) ([]*diag.Diagnostic, cache.FnStats) {
 	buf := diag.NewReporter(0)
 	c := &checker{prog: prog, fl: fl, rep: buf, m: m, fs: fs,
-		unknown: map[string]bool{}, prov: fs.prov, traceEv: ev, uses: uses}
-	c.checkFunctionTimed(f)
+		unknown: map[string]bool{}, prov: fs.prov, uses: uses}
+	c.checkFunctionTimed(f, seq)
 	return buf.Buffered(), cache.FnStats{
 		Blocks: int64(c.fnBlocks), Edges: int64(c.fnEdges), Merges: int64(c.fnMerges),
 	}
@@ -257,40 +231,26 @@ func CheckFunction(prog *sema.Program, fl *flags.Flags, rep *diag.Reporter, f *c
 	c.checkFunction(f)
 }
 
-// checkFunctionTimed wraps checkFunction with the per-function timer,
-// counters, and trace event. Dataflow time is attributed to PhaseCheck net
-// of CFG construction (recorded by checkFunction into fnCFG), so the phase
-// durations stay disjoint and sum to ~the end-to-end total.
-func (c *checker) checkFunctionTimed(f *cast.FuncDef) {
+// checkFunctionTimed wraps checkFunction in its function span (seq is the
+// function's index in serial order) and adds its counters. The span files
+// the dataflow time under PhaseCheck net of the nested CFG span, so the
+// phase durations stay disjoint and sum to ~the end-to-end total.
+func (c *checker) checkFunctionTimed(f *cast.FuncDef, seq int) {
+	c.fnSpan = c.m.StartSpan(obs.SpanFunction, obs.PhaseCheck, f.Name, c.fs.spanRoot, c.fs.worker)
+	c.checkFunction(f)
 	if !c.m.Enabled() {
-		c.checkFunction(f)
 		return
 	}
-	c.fnMerges, c.fnBlocks, c.fnEdges, c.fnCFG, c.fnMergeNS = 0, 0, 0, 0, 0
-	c.fnSpan = c.m.StartSpan(obs.SpanFunction, f.Name, c.fs.spanRoot, c.fs.worker)
-	start := time.Now()
-	c.checkFunction(f)
-	elapsed := time.Since(start)
-	c.m.AddPhase(obs.PhaseCheck, elapsed-c.fnCFG)
+	sp := &c.fnSpan
+	pos := f.Pos()
+	sp.File, sp.Line, sp.Seq = pos.File, pos.Line, seq
+	sp.Blocks, sp.Edges = int64(c.fnBlocks), int64(c.fnEdges)
+	sp.Merges, sp.Clones = int64(c.fnMerges), c.fs.clones
+	c.m.EndSpan(sp)
 	c.m.Add(obs.FunctionsChecked, 1)
 	c.m.Add(obs.StoreClones, c.fs.clones)
 	c.m.Add(obs.RefStatesCopied, c.fs.copied)
 	c.m.Add(obs.MergeNS, c.fnMergeNS.Nanoseconds())
-	pos := f.Pos()
-	c.m.EndFuncSpan(c.fnSpan, pos.File, pos.Line,
-		int64(c.fnBlocks), int64(c.fnMerges), c.fs.clones)
-	c.fnSpan = 0
-	if c.traceEv != nil {
-		*c.traceEv = obs.FuncEvent{
-			Func:       f.Name,
-			File:       pos.File,
-			Line:       pos.Line,
-			Blocks:     c.fnBlocks,
-			Edges:      c.fnEdges,
-			Merges:     c.fnMerges,
-			DurationNS: elapsed.Nanoseconds(),
-		}
-	}
 }
 
 // checkFunction analyzes one function body in a single forward pass.
@@ -335,22 +295,16 @@ func (c *checker) checkFunction(f *cast.FuncDef) {
 	// to find. One message per contiguous dead region. The worker-scoped
 	// builder recycles nodes and skips label rendering (the checker never
 	// reads labels; -cfg dumps use cfg.Build, which keeps them).
-	var g *cfg.Graph
+	cfgSpan := c.m.StartSpan(obs.SpanPhase, obs.PhaseCFG, "cfg", &c.fnSpan, c.fs.worker)
+	g := c.fs.cfg.Build(f)
+	c.m.EndSpan(&cfgSpan)
 	if c.m.Enabled() {
-		cfgSpan := c.m.StartSpan(obs.SpanPhase, "cfg", c.fnSpan, c.fs.worker)
-		cfgStart := time.Now()
-		g = c.fs.cfg.Build(f)
-		c.fnCFG = time.Since(cfgStart)
-		c.m.EndSpan(cfgSpan)
-		c.m.AddPhase(obs.PhaseCFG, c.fnCFG)
 		c.fnBlocks = len(g.Nodes)
 		for _, n := range g.Nodes {
 			c.fnEdges += len(n.Succs)
 		}
 		c.m.Add(obs.CFGBlocks, int64(c.fnBlocks))
 		c.m.Add(obs.CFGEdges, int64(c.fnEdges))
-	} else {
-		g = c.fs.cfg.Build(f)
 	}
 	if c.prov != nil {
 		c.prov.g = g

@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sync"
+	"bytes"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"golclint/internal/obs"
@@ -24,22 +26,28 @@ void leaky (int n)
 }
 `
 
-// collectTracer records events for assertions.
-type collectTracer struct {
-	mu  sync.Mutex
-	evs []obs.FuncEvent
-}
-
-func (t *collectTracer) TraceFunc(ev obs.FuncEvent) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.evs = append(t.evs, ev)
+// funcEvents renders the recorded function spans as -trace events.
+func funcEvents(t *testing.T, m *obs.Metrics) []obs.FuncEvent {
+	t.Helper()
+	var buf bytes.Buffer
+	obs.NewJSONLTracer(&buf).Funcs(m.Spans())
+	var evs []obs.FuncEvent
+	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if ln == "" {
+			continue
+		}
+		var ev obs.FuncEvent
+		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
+			t.Fatalf("trace line %q: %v", ln, err)
+		}
+		evs = append(evs, ev)
+	}
+	return evs
 }
 
 func TestCheckSourcesPopulatesMetrics(t *testing.T) {
 	m := obs.New()
-	tr := &collectTracer{}
-	m.SetTracer(tr)
+	m.EnableSpans()
 	res := CheckSource("m.c", metricsSrc, Options{Metrics: m})
 	if len(res.Diags) == 0 {
 		t.Fatal("expected a leak diagnostic")
@@ -78,10 +86,11 @@ func TestCheckSourcesPopulatesMetrics(t *testing.T) {
 		t.Errorf("total = %d ns, want > 0", s.TotalNS)
 	}
 
-	if len(tr.evs) != 1 {
-		t.Fatalf("trace events = %d, want 1", len(tr.evs))
+	evs := funcEvents(t, m)
+	if len(evs) != 1 {
+		t.Fatalf("trace events = %d, want 1", len(evs))
 	}
-	ev := tr.evs[0]
+	ev := evs[0]
 	if ev.Func != "leaky" || ev.File != "m.c" {
 		t.Errorf("event identity = %q %q", ev.Func, ev.File)
 	}

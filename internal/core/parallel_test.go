@@ -190,16 +190,28 @@ func TestParallelSharedMetricsRace(t *testing.T) {
 	}
 }
 
-// A shared tracer receives exactly one event per function under
-// concurrency, with no torn lines.
+// Function spans recorded by concurrent workers render to exactly one
+// trace event per function, and a tracer shared by concurrent writers
+// emits no torn lines.
 func TestParallelTracerRace(t *testing.T) {
 	m := obs.New()
-	var buf syncBuffer
-	m.SetTracer(obs.NewJSONLTracer(&buf))
+	m.EnableSpans()
 	CheckSources(parallelSrc, Options{Metrics: m, Jobs: 8})
+	var buf syncBuffer
+	tr := obs.NewJSONLTracer(&buf)
+	spans := m.Spans()
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tr.Funcs(spans)
+		}()
+	}
+	wg.Wait()
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("trace lines = %d, want 4:\n%s", len(lines), buf.String())
+	if len(lines) != 12 {
+		t.Fatalf("trace lines = %d, want 3 x 4:\n%s", len(lines), buf.String())
 	}
 	for _, ln := range lines {
 		if !strings.HasPrefix(ln, `{"func":"`) || !strings.HasSuffix(ln, "}") {

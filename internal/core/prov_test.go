@@ -6,10 +6,12 @@ package core
 // stream and the explained rendering are byte-identical at any worker count.
 
 import (
+	"bytes"
 	"regexp"
 	"strings"
 	"testing"
 
+	"golclint/internal/diag"
 	"golclint/internal/obs"
 )
 
@@ -156,18 +158,37 @@ var durationField = regexp.MustCompile(`"duration_ns":\d+`)
 func traceAt(t *testing.T, jobs int, explain bool) string {
 	t.Helper()
 	m := obs.New()
-	var buf syncBuffer
-	m.SetTracer(obs.NewJSONLTracer(&buf))
-	res := CheckSources(provSrc, Options{Metrics: m, Jobs: jobs, Explain: explain})
+	m.EnableSpans()
+	opt := Options{Metrics: m, Jobs: jobs, Explain: explain}
+	var diags []obs.DiagEvent
+	if explain {
+		opt.DiagSink = func(d *diag.Diagnostic) {
+			ev := obs.DiagEvent{Code: d.Code.String(), File: d.Pos.File, Line: d.Pos.Line, Msg: d.Msg}
+			if d.Prov != nil {
+				ev.Ref = d.Prov.Ref
+				for _, s := range d.Prov.Steps {
+					ev.Witness = append(ev.Witness, s.StepString())
+				}
+			}
+			diags = append(diags, ev)
+		}
+	}
+	res := CheckSources(provSrc, opt)
 	if len(res.ParseErrors) > 0 {
 		t.Fatalf("jobs=%d parse errors: %v", jobs, res.ParseErrors)
+	}
+	var buf bytes.Buffer
+	tr := obs.NewJSONLTracer(&buf)
+	tr.Funcs(m.Spans())
+	for _, ev := range diags {
+		tr.Diag(ev)
 	}
 	return durationField.ReplaceAllString(buf.String(), `"duration_ns":0`)
 }
 
-// The JSONL trace stream replays buffered per-function events in serial
-// order after the fan-out, so it is byte-identical (modulo durations) at
-// any worker count.
+// The JSONL trace stream renders function spans in serial function order,
+// however the workers closed them, so it is byte-identical (modulo
+// durations) at any worker count.
 func TestTraceStreamDeterministicAcrossJobs(t *testing.T) {
 	for _, explain := range []bool{false, true} {
 		serial := traceAt(t, 1, explain)

@@ -1,9 +1,14 @@
-// Package obs is the checker's instrumentation layer: monotonic phase
-// timers covering the pipeline (preprocess -> parse -> sema -> CFG build ->
-// per-function dataflow check), analysis counters (tokens lexed, AST nodes,
-// CFG blocks/edges, confluence merges, loop unrollings, annotations
-// consumed, diagnostics emitted/suppressed, library entries loaded), and a
-// pluggable Tracer that receives one event per function checked.
+// Package obs is the checker's instrumentation layer. Its one timing
+// primitive is the span (span.go): every timed region — a pipeline phase,
+// one file inside a frontend fan-out, one function inside the checking
+// fan-out — is a StartSpan/EndSpan pair naming its kind and its phase.
+// Closing a span files its duration under its phase with atomics only, so
+// the per-phase totals, the fan-out wall times and the end-to-end total of
+// a -stats-json snapshot, the -trace JSONL stream, the -trace-out flame
+// chart and the -hot table are all views of the same spans. Alongside the
+// spans sit analysis counters (tokens lexed, AST nodes, CFG blocks/edges,
+// confluence merges, loop unrollings, annotations consumed, diagnostics
+// emitted/suppressed, library entries loaded, cache traffic).
 //
 // The package has no dependencies beyond the standard library and is
 // designed so that uninstrumented runs pay almost nothing: a nil *Metrics
@@ -19,26 +24,35 @@ import (
 )
 
 // Phase identifies one stage of the checking pipeline. Phases are disjoint:
-// CFG-build time is excluded from the check phase, so the per-phase sum
+// a span nested in another span's phase (the CFG build inside a function's
+// check) is taken out of the enclosing phase, so the per-phase sum
 // approximates the end-to-end total.
 type Phase int
 
-// Pipeline phases in execution order.
+// Pipeline phases.
 const (
-	PhasePreprocess Phase = iota // cpp: macro expansion and includes
-	PhaseParse                   // ctoken+cparse: lexing and parsing
-	PhaseSema                    // sema: environment construction (and library install)
-	PhaseCFG                     // cfg: per-function control-flow graph construction
-	PhaseCheck                   // core: the per-function dataflow pass
+	PhasePreprocess  Phase = iota // cpp: macro expansion and includes
+	PhaseParse                    // ctoken+cparse: lexing and parsing
+	PhaseSema                     // sema: environment construction (and library install)
+	PhaseCFG                      // cfg: per-function control-flow graph construction
+	PhaseCheck                    // core: the per-function dataflow pass
+	PhaseCacheLookup              // module cache key hashing, store get, dependency check
+	PhaseFnCache                  // cache segmentation scan, function sub-entry keys and probes, replay
+	PhaseValidate                 // counterexample validation of the final diagnostics
+	PhaseCacheWrite               // function sub-entry and module entry writes, interface export
 	NumPhases
 )
 
 var phaseNames = [NumPhases]string{
-	PhasePreprocess: "preprocess",
-	PhaseParse:      "parse",
-	PhaseSema:       "sema",
-	PhaseCFG:        "cfg",
-	PhaseCheck:      "check",
+	PhasePreprocess:  "preprocess",
+	PhaseParse:       "parse",
+	PhaseSema:        "sema",
+	PhaseCFG:         "cfg",
+	PhaseCheck:       "check",
+	PhaseCacheLookup: "cache_lookup",
+	PhaseFnCache:     "fncache",
+	PhaseValidate:    "validate",
+	PhaseCacheWrite:  "cache_write",
 }
 
 // String returns the phase's stable name (used as a JSON key).
@@ -118,21 +132,22 @@ func (c Counter) String() string {
 
 // Metrics accumulates phase durations and counters for one or more checking
 // runs. A nil *Metrics is valid: every method is a no-op, so instrumented
-// code can call unconditionally.
+// code can call unconditionally. Durations arrive only through spans (see
+// span.go): EndSpan files each closed span's time under its phase.
 type Metrics struct {
 	phases   [NumPhases]int64   // nanoseconds, atomic
 	counters [NumCounters]int64 // atomic
-	totalNS  int64              // atomic
+	totalNS  int64              // atomic; module spans
 	// wall holds per-phase wall-clock times for the phases that run as
 	// fan-out regions (preprocess, parse, check). Under parallel execution
 	// the per-phase durations in phases sum each worker's time (CPU-like
 	// totals), so wall and CPU diverge; their ratio is the effective
 	// parallel speedup of that region.
-	wall   [NumPhases]int64 // nanoseconds, atomic
-	jobs   int64            // atomic; worker count of the most recent run
-	tracer Tracer
-	// spanSt holds the hierarchical span recorder (see span.go); nil unless
-	// EnableSpans was called, so span-instrumented code costs one nil test.
+	wall [NumPhases]int64 // nanoseconds, atomic
+	jobs int64            // atomic; worker count of the most recent run
+	// spanSt holds the span recorder (see span.go); nil unless EnableSpans
+	// was called, so runs without -trace, -trace-out or -hot time their
+	// spans but never append them anywhere.
 	spanSt *spanState
 }
 
@@ -141,14 +156,6 @@ func New() *Metrics { return &Metrics{} }
 
 // Enabled reports whether metrics are being collected (m is non-nil).
 func (m *Metrics) Enabled() bool { return m != nil }
-
-// SetTracer installs the per-function event sink (nil disables tracing).
-// Call before checking begins; it is not synchronized with TraceFunc.
-func (m *Metrics) SetTracer(t Tracer) {
-	if m != nil {
-		m.tracer = t
-	}
-}
 
 // Add increments counter c by n.
 func (m *Metrics) Add(c Counter, n int64) {
@@ -166,14 +173,6 @@ func (m *Metrics) Get(c Counter) int64 {
 	return atomic.LoadInt64(&m.counters[c])
 }
 
-// AddPhase adds d to phase p's accumulated duration.
-func (m *Metrics) AddPhase(p Phase, d time.Duration) {
-	if m == nil || p < 0 || p >= NumPhases {
-		return
-	}
-	atomic.AddInt64(&m.phases[p], int64(d))
-}
-
 // PhaseDuration returns phase p's accumulated duration.
 func (m *Metrics) PhaseDuration(p Phase) time.Duration {
 	if m == nil || p < 0 || p >= NumPhases {
@@ -181,61 +180,6 @@ func (m *Metrics) PhaseDuration(p Phase) time.Duration {
 	}
 	return time.Duration(atomic.LoadInt64(&m.phases[p]))
 }
-
-// noopStop is returned by StartPhase on a nil Metrics so the nil path
-// allocates nothing.
-func noopStop() {}
-
-// StartPhase begins timing phase p against the monotonic clock; the
-// returned stop function adds the elapsed time. Phases may start and stop
-// repeatedly (e.g. parse runs once per file); durations accumulate.
-func (m *Metrics) StartPhase(p Phase) (stop func()) {
-	if m == nil {
-		return noopStop
-	}
-	start := time.Now()
-	return func() { m.AddPhase(p, time.Since(start)) }
-}
-
-// AddPhaseWall adds d to the wall-clock duration of phase p's fan-out
-// region. Compare with PhaseDuration(p), which sums per-worker time.
-func (m *Metrics) AddPhaseWall(p Phase, d time.Duration) {
-	if m == nil || p < 0 || p >= NumPhases {
-		return
-	}
-	atomic.AddInt64(&m.wall[p], int64(d))
-}
-
-// PhaseWall returns phase p's accumulated wall-clock fan-out duration
-// (zero for phases that never ran as a fan-out region).
-func (m *Metrics) PhaseWall(p Phase) time.Duration {
-	if m == nil || p < 0 || p >= NumPhases {
-		return 0
-	}
-	return time.Duration(atomic.LoadInt64(&m.wall[p]))
-}
-
-// StartPhaseWall begins wall-timing phase p's fan-out region; the returned
-// stop function adds the elapsed wall-clock time.
-func (m *Metrics) StartPhaseWall(p Phase) (stop func()) {
-	if m == nil {
-		return noopStop
-	}
-	start := time.Now()
-	return func() { m.AddPhaseWall(p, time.Since(start)) }
-}
-
-// AddCheckWall adds d to the wall-clock duration of the checking fan-out
-// (the region covering CFG construction and the dataflow pass across all
-// workers). Equivalent to AddPhaseWall(PhaseCheck, d).
-func (m *Metrics) AddCheckWall(d time.Duration) { m.AddPhaseWall(PhaseCheck, d) }
-
-// CheckWall returns the accumulated wall-clock checking duration.
-func (m *Metrics) CheckWall() time.Duration { return m.PhaseWall(PhaseCheck) }
-
-// StartCheckWall begins timing the checking fan-out; the returned stop
-// function adds the elapsed wall-clock time.
-func (m *Metrics) StartCheckWall() (stop func()) { return m.StartPhaseWall(PhaseCheck) }
 
 // SetJobs records the worker count used by the checking fan-out.
 func (m *Metrics) SetJobs(n int) {
@@ -251,41 +195,6 @@ func (m *Metrics) Jobs() int {
 		return 0
 	}
 	return int(atomic.LoadInt64(&m.jobs))
-}
-
-// AddTotal adds d to the end-to-end wall-clock total.
-func (m *Metrics) AddTotal(d time.Duration) {
-	if m == nil {
-		return
-	}
-	atomic.AddInt64(&m.totalNS, int64(d))
-}
-
-// Total returns the accumulated end-to-end duration.
-func (m *Metrics) Total() time.Duration {
-	if m == nil {
-		return 0
-	}
-	return time.Duration(atomic.LoadInt64(&m.totalNS))
-}
-
-// TraceFunc forwards a per-function event to the installed tracer, if any.
-func (m *Metrics) TraceFunc(ev FuncEvent) {
-	if m == nil || m.tracer == nil {
-		return
-	}
-	m.tracer.TraceFunc(ev)
-}
-
-// TraceDiag forwards a per-diagnostic provenance event to the installed
-// tracer when it implements DiagTracer; otherwise it is dropped.
-func (m *Metrics) TraceDiag(ev DiagEvent) {
-	if m == nil || m.tracer == nil {
-		return
-	}
-	if dt, ok := m.tracer.(DiagTracer); ok {
-		dt.TraceDiag(ev)
-	}
 }
 
 // Snapshot is a point-in-time, JSON-serializable copy of the metrics.
@@ -318,10 +227,13 @@ func (m *Metrics) Snapshot() Snapshot {
 	for c := Counter(0); c < NumCounters; c++ {
 		s.Counters[c.String()] = m.Get(c)
 	}
-	s.TotalNS = int64(m.Total())
-	s.PreprocessWallNS = int64(m.PhaseWall(PhasePreprocess))
-	s.ParseWallNS = int64(m.PhaseWall(PhaseParse))
-	s.CheckWallNS = int64(m.PhaseWall(PhaseCheck))
 	s.Jobs = m.Jobs()
+	if m == nil {
+		return s
+	}
+	s.TotalNS = atomic.LoadInt64(&m.totalNS)
+	s.PreprocessWallNS = atomic.LoadInt64(&m.wall[PhasePreprocess])
+	s.ParseWallNS = atomic.LoadInt64(&m.wall[PhaseParse])
+	s.CheckWallNS = atomic.LoadInt64(&m.wall[PhaseCheck])
 	return s
 }

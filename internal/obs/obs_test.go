@@ -17,20 +17,18 @@ func TestNilMetricsNoOp(t *testing.T) {
 		t.Fatal("nil Metrics reports Enabled")
 	}
 	m.Add(TokensLexed, 5)
-	m.AddPhase(PhaseParse, time.Second)
-	m.AddTotal(time.Second)
-	m.SetTracer(NewJSONLTracer(&bytes.Buffer{}))
-	m.TraceFunc(FuncEvent{Func: "f"})
-	stop := m.StartPhase(PhaseCheck)
-	stop()
+	sp := m.StartSpan(SpanFile, PhaseParse, "a.c", nil, 0)
+	if sp != (Span{}) {
+		t.Fatalf("nil StartSpan = %+v, want zero", sp)
+	}
+	m.EndSpan(&sp)
+	mod := m.StartSpan(SpanModule, NumPhases, "a.c", nil, 0)
+	m.EndSpan(&mod)
 	if got := m.Get(TokensLexed); got != 0 {
 		t.Fatalf("nil Get = %d, want 0", got)
 	}
 	if got := m.PhaseDuration(PhaseParse); got != 0 {
 		t.Fatalf("nil PhaseDuration = %v, want 0", got)
-	}
-	if got := m.Total(); got != 0 {
-		t.Fatalf("nil Total = %v, want 0", got)
 	}
 	s := m.Snapshot()
 	if s.TotalNS != 0 || len(s.PhasesNS) != int(NumPhases) || len(s.Counters) != int(NumCounters) {
@@ -49,8 +47,10 @@ func TestOutOfRangeIgnored(t *testing.T) {
 	m := New()
 	m.Add(Counter(-1), 1)
 	m.Add(NumCounters, 1)
-	m.AddPhase(Phase(-1), time.Second)
-	m.AddPhase(NumPhases, time.Second)
+	for _, p := range []Phase{-1, NumPhases} {
+		sp := m.StartSpan(SpanFile, p, "x", nil, 0)
+		m.EndSpan(&sp)
+	}
 	if m.Get(Counter(-1)) != 0 || m.Get(NumCounters) != 0 {
 		t.Fatal("out-of-range Get nonzero")
 	}
@@ -60,20 +60,29 @@ func TestOutOfRangeIgnored(t *testing.T) {
 	if got := Phase(99).String(); got != "phase(99)" {
 		t.Fatalf("Phase(99).String() = %q", got)
 	}
+	for name, ns := range m.Snapshot().PhasesNS {
+		if ns != 0 {
+			t.Fatalf("out-of-range span filed %d ns under %s", ns, name)
+		}
+	}
 }
 
-// Concurrent increments must not lose updates.
+// Concurrent increments and span closes must not lose updates.
 func TestConcurrentAdd(t *testing.T) {
 	m := New()
 	const goroutines, perG = 16, 1000
 	var wg sync.WaitGroup
+	durs := make([]int64, goroutines)
 	for i := 0; i < goroutines; i++ {
+		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perG; j++ {
 				m.Add(ConfluenceMerges, 1)
-				m.AddPhase(PhaseCheck, time.Nanosecond)
+				sp := m.StartSpan(SpanFunction, PhaseCheck, "f", nil, i)
+				m.EndSpan(&sp)
+				durs[i] += sp.Dur
 			}
 		}()
 	}
@@ -81,22 +90,27 @@ func TestConcurrentAdd(t *testing.T) {
 	if got := m.Get(ConfluenceMerges); got != goroutines*perG {
 		t.Fatalf("merges = %d, want %d", got, goroutines*perG)
 	}
-	if got := m.PhaseDuration(PhaseCheck); got != goroutines*perG {
-		t.Fatalf("check phase = %d ns, want %d", got, goroutines*perG)
+	var want int64
+	for _, d := range durs {
+		want += d
+	}
+	if got := m.PhaseDuration(PhaseCheck); int64(got) != want {
+		t.Fatalf("check phase = %d ns, want the span sum %d", got, want)
 	}
 }
 
+// A phase accumulates across its spans (parse runs once per file).
 func TestStartPhaseAccumulates(t *testing.T) {
 	m := New()
-	stop := m.StartPhase(PhaseParse)
+	sp := m.StartSpan(SpanFile, PhaseParse, "a.c", nil, 0)
 	time.Sleep(time.Millisecond)
-	stop()
+	m.EndSpan(&sp)
 	first := m.PhaseDuration(PhaseParse)
-	if first <= 0 {
-		t.Fatalf("phase duration = %v, want > 0", first)
+	if first <= 0 || int64(first) != sp.Dur {
+		t.Fatalf("phase duration = %v, span Dur = %d", first, sp.Dur)
 	}
-	stop = m.StartPhase(PhaseParse)
-	stop()
+	sp = m.StartSpan(SpanFile, PhaseParse, "b.c", nil, 0)
+	m.EndSpan(&sp)
 	if m.PhaseDuration(PhaseParse) < first {
 		t.Fatal("second interval did not accumulate")
 	}
@@ -105,17 +119,26 @@ func TestStartPhaseAccumulates(t *testing.T) {
 func TestSnapshotNames(t *testing.T) {
 	m := New()
 	m.Add(TokensLexed, 7)
-	m.AddPhase(PhaseSema, 3*time.Millisecond)
-	m.AddTotal(10 * time.Millisecond)
+	mod := m.StartSpan(SpanModule, NumPhases, "m.c", nil, 0)
+	sema := m.StartSpan(SpanPhase, PhaseSema, "sema", &mod, 0)
+	time.Sleep(time.Millisecond)
+	m.EndSpan(&sema)
+	m.EndSpan(&mod)
 	s := m.Snapshot()
 	if s.Counters["tokens_lexed"] != 7 {
 		t.Fatalf("tokens_lexed = %d", s.Counters["tokens_lexed"])
 	}
-	if s.PhasesNS["sema"] != int64(3*time.Millisecond) {
-		t.Fatalf("sema = %d", s.PhasesNS["sema"])
+	if s.PhasesNS["sema"] != sema.Dur || sema.Dur <= 0 {
+		t.Fatalf("sema = %d, span Dur %d", s.PhasesNS["sema"], sema.Dur)
 	}
-	if s.TotalNS != int64(10*time.Millisecond) {
-		t.Fatalf("total = %d", s.TotalNS)
+	if s.TotalNS != mod.Dur || s.TotalNS < s.PhasesNS["sema"] {
+		t.Fatalf("total = %d, module span %d, sema %d", s.TotalNS, mod.Dur, s.PhasesNS["sema"])
+	}
+	for _, name := range []string{"preprocess", "parse", "sema", "cfg", "check",
+		"cache_lookup", "fncache", "validate", "cache_write"} {
+		if _, ok := s.PhasesNS[name]; !ok {
+			t.Errorf("snapshot lacks phase %q", name)
+		}
 	}
 	// The snapshot must serialize cleanly.
 	if _, err := json.Marshal(s); err != nil {
@@ -127,13 +150,17 @@ func TestJSONLTracer(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewJSONLTracer(&buf)
 	m := New()
-	m.SetTracer(tr)
+	m.EnableSpans()
+	sp := m.StartSpan(SpanFunction, PhaseCheck, "f", nil, 0)
+	sp.File, sp.Blocks, sp.Edges, sp.Merges = "a.c", 3, 4, 1
+	m.EndSpan(&sp)
+	spans := m.Spans()
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			m.TraceFunc(FuncEvent{Func: "f", File: "a.c", Blocks: 3, Merges: 1, DurationNS: 42})
+			tr.Funcs(spans)
 		}()
 	}
 	wg.Wait()
@@ -148,7 +175,7 @@ func TestJSONLTracer(t *testing.T) {
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
 			t.Fatalf("line %d not JSON: %v", lines, err)
 		}
-		if ev.Func != "f" || ev.Blocks != 3 || ev.DurationNS != 42 {
+		if ev.Func != "f" || ev.File != "a.c" || ev.Blocks != 3 || ev.Edges != 4 || ev.Merges != 1 || ev.DurationNS != sp.Dur {
 			t.Fatalf("bad event: %+v", ev)
 		}
 	}
@@ -170,9 +197,9 @@ func (w *errWriter) Write(p []byte) (int, error) {
 
 func TestJSONLTracerRetainsFirstError(t *testing.T) {
 	tr := NewJSONLTracer(&errWriter{})
-	tr.TraceFunc(FuncEvent{Func: "a"})
-	tr.TraceFunc(FuncEvent{Func: "b"})
-	tr.TraceFunc(FuncEvent{Func: "c"}) // dropped silently
+	tr.Diag(DiagEvent{Code: "a"})
+	tr.Diag(DiagEvent{Code: "b"})
+	tr.Diag(DiagEvent{Code: "c"}) // dropped silently
 	if tr.Err() == nil {
 		t.Fatal("expected retained error")
 	}
@@ -181,103 +208,136 @@ func TestJSONLTracerRetainsFirstError(t *testing.T) {
 	}
 }
 
-// The check-wall clock and jobs gauge: nil-safe, atomic, and visible in
-// snapshots (the wall-vs-CPU split the parallel engine reports).
+// The check fan-out's phase span is the check-wall clock; with the jobs
+// gauge it is nil-safe, atomic, and visible in snapshots (the wall-vs-CPU
+// split the parallel engine reports).
 func TestCheckWallAndJobs(t *testing.T) {
 	var nilM *Metrics
-	nilM.AddCheckWall(time.Second) // no-op, no panic
 	nilM.SetJobs(4)
-	nilM.StartCheckWall()()
-	if nilM.CheckWall() != 0 || nilM.Jobs() != 0 {
+	sp := nilM.StartSpan(SpanPhase, PhaseCheck, "check", nil, 0)
+	nilM.EndSpan(&sp)
+	if nilM.Snapshot().CheckWallNS != 0 || nilM.Jobs() != 0 {
 		t.Fatal("nil metrics not zero")
 	}
 
 	m := New()
-	m.AddCheckWall(3 * time.Millisecond)
-	m.AddCheckWall(2 * time.Millisecond)
-	if got := m.CheckWall(); got != 5*time.Millisecond {
-		t.Fatalf("check wall = %v, want 5ms", got)
+	var sum int64
+	for i := 0; i < 2; i++ {
+		sp := m.StartSpan(SpanPhase, PhaseCheck, "check", nil, 0)
+		time.Sleep(time.Millisecond)
+		m.EndSpan(&sp)
+		sum += sp.Dur
 	}
 	m.SetJobs(8)
 	if m.Jobs() != 8 {
 		t.Fatalf("jobs = %d", m.Jobs())
 	}
-	stop := m.StartCheckWall()
-	stop()
-	if m.CheckWall() < 5*time.Millisecond {
-		t.Fatal("StartCheckWall lost accumulated time")
-	}
 	snap := m.Snapshot()
-	if snap.CheckWallNS < int64(5*time.Millisecond) || snap.Jobs != 8 {
-		t.Fatalf("snapshot: check_wall_ns=%d jobs=%d", snap.CheckWallNS, snap.Jobs)
+	if snap.CheckWallNS != sum || sum < int64(2*time.Millisecond) || snap.Jobs != 8 {
+		t.Fatalf("snapshot: check_wall_ns=%d (spans %d) jobs=%d", snap.CheckWallNS, sum, snap.Jobs)
+	}
+	// The wall clock is not per-worker time: the phase total stays empty.
+	if snap.PhasesNS["check"] != 0 {
+		t.Fatalf("check region span leaked %d ns into phases_ns", snap.PhasesNS["check"])
 	}
 }
 
-// Concurrent workers hammering the wall clock alongside phase timers and
-// counters (run under -race).
+// Concurrent workers closing function spans inside one check region, with
+// counters alongside (run under -race).
 func TestConcurrentCheckWall(t *testing.T) {
 	m := New()
+	region := m.StartSpan(SpanPhase, PhaseCheck, "check", nil, 0)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
+		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				m.AddCheckWall(time.Microsecond)
-				m.AddPhase(PhaseCheck, time.Microsecond)
+				sp := m.StartSpan(SpanFunction, PhaseCheck, "f", &region, i)
+				m.EndSpan(&sp)
 				m.Add(FunctionsChecked, 1)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := m.CheckWall(); got != 1600*time.Microsecond {
-		t.Fatalf("check wall = %v, want 1.6ms", got)
+	m.EndSpan(&region)
+	snap := m.Snapshot()
+	if snap.CheckWallNS != region.Dur || snap.CheckWallNS < snap.PhasesNS["check"]/16 {
+		t.Fatalf("check wall = %d, region %d, check phase %d", snap.CheckWallNS, region.Dur, snap.PhasesNS["check"])
 	}
 	if got := m.Get(FunctionsChecked); got != 1600 {
 		t.Fatalf("functions = %d, want 1600", got)
 	}
 }
 
-// Per-phase wall timers: each fan-out region accumulates independently,
-// the legacy check-wall accessors alias the PhaseCheck slot, and the
-// frontend slots surface in the snapshot as preprocess_wall_ns and
-// parse_wall_ns.
+// Fan-out region spans feed the per-phase wall clocks and surface as
+// preprocess_wall_ns, parse_wall_ns and check_wall_ns; a serial phase span
+// (sema) feeds phases_ns instead.
 func TestPhaseWall(t *testing.T) {
-	var nilM *Metrics
-	nilM.AddPhaseWall(PhasePreprocess, time.Second) // no-op, no panic
-	nilM.StartPhaseWall(PhaseParse)()
-	if nilM.PhaseWall(PhasePreprocess) != 0 {
-		t.Fatal("nil metrics not zero")
-	}
-
 	m := New()
-	m.AddPhaseWall(Phase(-1), time.Second) // out of range: ignored
-	m.AddPhaseWall(NumPhases, time.Second)
-	m.AddPhaseWall(PhasePreprocess, 2*time.Millisecond)
-	m.AddPhaseWall(PhaseParse, 3*time.Millisecond)
-	m.AddCheckWall(5 * time.Millisecond)
-	if got := m.PhaseWall(PhasePreprocess); got != 2*time.Millisecond {
-		t.Errorf("preprocess wall = %v, want 2ms", got)
-	}
-	if got := m.PhaseWall(PhaseParse); got != 3*time.Millisecond {
-		t.Errorf("parse wall = %v, want 3ms", got)
-	}
-	if got, legacy := m.PhaseWall(PhaseCheck), m.CheckWall(); got != 5*time.Millisecond || legacy != got {
-		t.Errorf("check wall = %v / %v, want 5ms via both accessors", got, legacy)
-	}
-	stop := m.StartPhaseWall(PhaseParse)
-	stop()
-	if m.PhaseWall(PhaseParse) < 3*time.Millisecond {
-		t.Error("StartPhaseWall lost accumulated time")
+	walls := map[Phase]int64{}
+	for _, p := range []Phase{PhasePreprocess, PhaseParse, PhaseCheck, PhaseSema} {
+		sp := m.StartSpan(SpanPhase, p, p.String(), nil, 0)
+		time.Sleep(time.Millisecond)
+		m.EndSpan(&sp)
+		walls[p] = sp.Dur
 	}
 	snap := m.Snapshot()
-	if snap.PreprocessWallNS != int64(2*time.Millisecond) {
-		t.Errorf("preprocess_wall_ns = %d", snap.PreprocessWallNS)
+	if snap.PreprocessWallNS != walls[PhasePreprocess] {
+		t.Errorf("preprocess_wall_ns = %d, want %d", snap.PreprocessWallNS, walls[PhasePreprocess])
 	}
-	if snap.ParseWallNS < int64(3*time.Millisecond) {
-		t.Errorf("parse_wall_ns = %d", snap.ParseWallNS)
+	if snap.ParseWallNS != walls[PhaseParse] {
+		t.Errorf("parse_wall_ns = %d, want %d", snap.ParseWallNS, walls[PhaseParse])
 	}
-	if snap.CheckWallNS != int64(5*time.Millisecond) {
-		t.Errorf("check_wall_ns = %d", snap.CheckWallNS)
+	if snap.CheckWallNS != walls[PhaseCheck] {
+		t.Errorf("check_wall_ns = %d, want %d", snap.CheckWallNS, walls[PhaseCheck])
+	}
+	if snap.PhasesNS["sema"] != walls[PhaseSema] {
+		t.Errorf("sema = %d, want %d", snap.PhasesNS["sema"], walls[PhaseSema])
+	}
+	for _, p := range []string{"preprocess", "parse", "check"} {
+		if snap.PhasesNS[p] != 0 {
+			t.Errorf("fan-out region span leaked into phases_ns[%s] = %d", p, snap.PhasesNS[p])
+		}
+	}
+}
+
+// Timing a region allocates nothing on a nil Metrics and on one that
+// collects metrics without recording spans (the daemon's per-request
+// path), nested regions included.
+func TestSpanAllocs(t *testing.T) {
+	for name, m := range map[string]*Metrics{"nil": nil, "metrics": New()} {
+		allocs := testing.AllocsPerRun(100, func() {
+			fn := m.StartSpan(SpanFunction, PhaseCheck, "f", nil, 0)
+			cfg := m.StartSpan(SpanPhase, PhaseCFG, "cfg", &fn, 0)
+			m.EndSpan(&cfg)
+			fn.File, fn.Line, fn.Blocks = "a.c", 3, 7
+			m.EndSpan(&fn)
+		})
+		if allocs != 0 {
+			t.Errorf("%s: a timed region allocates %v times, want 0", name, allocs)
+		}
+	}
+}
+
+// A cfg span nested in a function span is counted once, as cfg: its time
+// is taken out of the function's check time, so phases stay disjoint.
+func TestNestedSpanDisjoint(t *testing.T) {
+	m := New()
+	fn := m.StartSpan(SpanFunction, PhaseCheck, "f", nil, 0)
+	cfg := m.StartSpan(SpanPhase, PhaseCFG, "cfg", &fn, 0)
+	time.Sleep(2 * time.Millisecond)
+	m.EndSpan(&cfg)
+	m.EndSpan(&fn)
+	check, cfgNS := int64(m.PhaseDuration(PhaseCheck)), int64(m.PhaseDuration(PhaseCFG))
+	if cfgNS != cfg.Dur || cfgNS < int64(2*time.Millisecond) {
+		t.Errorf("cfg phase = %d, cfg span %d", cfgNS, cfg.Dur)
+	}
+	if check != fn.Dur-cfg.Dur {
+		t.Errorf("check phase = %d, want function %d minus cfg %d", check, fn.Dur, cfg.Dur)
+	}
+	if check+cfgNS != fn.Dur {
+		t.Errorf("check+cfg = %d, want the function span %d", check+cfgNS, fn.Dur)
 	}
 }

@@ -21,7 +21,7 @@ type SpanKind int
 const (
 	SpanRun      SpanKind = iota // one CLI invocation / CheckModules batch
 	SpanModule                   // one CheckSources call (a module)
-	SpanPhase                    // preprocess / parse / sema / check / cfg
+	SpanPhase                    // one pipeline phase region (a fan-out, sema, cfg, a cache layer)
 	SpanFile                     // one file inside a frontend fan-out
 	SpanFunction                 // one function inside the checking fan-out
 	NumSpanKinds
@@ -43,14 +43,16 @@ func (k SpanKind) String() string {
 	return fmt.Sprintf("spankind(%d)", int(k))
 }
 
-// SpanID identifies one recorded span; 0 means "no span" and is returned by
-// every span method when recording is off, so callers can thread IDs
-// unconditionally.
+// SpanID identifies one recorded span; 0 means "no span" and is what every
+// span carries when recording is off.
 type SpanID int64
 
-// Span is one recorded interval. Start is nanoseconds since the recording
-// epoch (EnableSpans); Dur is filled by EndSpan. Function spans additionally
-// carry their position and per-function work counters.
+// Span is one timed region, opened by StartSpan and closed by EndSpan. It
+// is a plain value the caller holds between the two calls, so timing a
+// region allocates nothing. Start is nanoseconds since the recording epoch
+// (EnableSpans); Dur is filled by EndSpan. Function spans additionally
+// carry their position, their index in the module's serial function order
+// (Seq) and per-function work counters, set by the caller before EndSpan.
 type Span struct {
 	ID     SpanID
 	Parent SpanID
@@ -61,104 +63,150 @@ type Span struct {
 	Dur    int64
 	File   string
 	Line   int
+	Seq    int
 	Blocks int64
+	Edges  int64
 	Merges int64
 	Clones int64
+
+	phase Phase
+	// outer is the phase the enclosing span's time is filed under, or
+	// NumPhases when the enclosing span feeds no phase total.
+	outer Phase
 }
 
-// spanState holds the hierarchical span recorder. It lives behind a single
-// pointer in Metrics so that runs without -trace-out/-hot pay one nil test.
+// feedsPhase reports whether the span's time is filed under its phase
+// total: everything but run and module spans and the fan-out region spans,
+// whose time is wall-clock (see EndSpan).
+func (sp *Span) feedsPhase() bool {
+	switch sp.Kind {
+	case SpanRun, SpanModule:
+		return false
+	case SpanPhase:
+		return !fanOut(sp.phase)
+	}
+	return true
+}
+
+// fanOut reports whether a phase runs as a worker fan-out region whose
+// phase span measures wall-clock time while its file or function children
+// sum per-worker time.
+func fanOut(p Phase) bool {
+	return p == PhasePreprocess || p == PhaseParse || p == PhaseCheck
+}
+
+// epoch anchors span timestamps on the monotonic clock.
+var epoch = time.Now()
+
+func nanotime() int64 { return int64(time.Since(epoch)) }
+
+// spanState holds the span recorder. It lives behind a single pointer in
+// Metrics so that runs without span output pay one nil test.
 type spanState struct {
 	mu    sync.Mutex
-	epoch time.Time
+	start int64 // nanotime at EnableSpans
 	spans []Span
-	run   int64 // atomic SpanID of the root run span
+	next  atomic.Int64 // last SpanID handed out
+	run   atomic.Int64 // SpanID of the root run span
 }
 
-// EnableSpans switches on hierarchical span recording. Must be called
-// before checking begins; without it every span method is a no-op.
+// EnableSpans switches on span recording: from then on every closed span
+// is appended to the list Spans returns. Must be called before checking
+// begins; without it spans are timed and filed but not kept.
 func (m *Metrics) EnableSpans() {
 	if m == nil {
 		return
 	}
-	m.spanSt = &spanState{epoch: time.Now()}
+	m.spanSt = &spanState{start: nanotime()}
 }
 
 // SpansEnabled reports whether span recording is active.
 func (m *Metrics) SpansEnabled() bool { return m != nil && m.spanSt != nil }
 
-// StartSpan opens a span of the given kind under parent (0 for a root) on
-// worker tid and returns its ID, or 0 when recording is off. Safe for
-// concurrent use from fan-out workers.
-func (m *Metrics) StartSpan(kind SpanKind, name string, parent SpanID, tid int) SpanID {
-	if m == nil || m.spanSt == nil {
-		return 0
+// StartSpan opens a timed region of the given kind and phase under parent
+// (nil for a root) on worker tid. Run and module spans carry no phase: pass
+// NumPhases. On a nil Metrics it returns a zero Span without reading the
+// clock. Safe for concurrent use from fan-out workers.
+func (m *Metrics) StartSpan(kind SpanKind, phase Phase, name string, parent *Span, tid int) Span {
+	if m == nil {
+		return Span{}
 	}
-	st := m.spanSt
-	now := time.Since(st.epoch).Nanoseconds()
-	st.mu.Lock()
-	id := SpanID(len(st.spans) + 1)
-	st.spans = append(st.spans, Span{
-		ID: id, Parent: parent, Kind: kind, Name: name, TID: tid, Start: now,
-	})
-	st.mu.Unlock()
-	return id
+	sp := Span{Kind: kind, Name: name, TID: tid, phase: phase, outer: NumPhases}
+	if parent != nil {
+		sp.Parent = parent.ID
+		if parent.feedsPhase() {
+			sp.outer = parent.phase
+		}
+	}
+	if st := m.spanSt; st != nil {
+		sp.ID = SpanID(st.next.Add(1))
+	}
+	sp.Start = nanotime()
+	return sp
 }
 
-// EndSpan closes a span opened by StartSpan. Passing 0 (or calling on a nil
-// or span-disabled Metrics) is a no-op.
-func (m *Metrics) EndSpan(id SpanID) {
-	if m == nil || m.spanSt == nil || id == 0 {
+// EndSpan closes a span opened by StartSpan, sets its Dur and files the
+// duration with atomics only:
+//
+//   - a module span adds to the end-to-end total;
+//   - a fan-out region's phase span (preprocess, parse, check) adds to
+//     that phase's wall time;
+//   - every other span (file, function, serial phase) adds to its phase
+//     total, and is taken out of its enclosing span's phase when that one
+//     feeds a different phase total (a function's cfg span counts as cfg,
+//     not check);
+//   - run spans only structure the recorded hierarchy.
+//
+// The span is appended to the recorded list only when EnableSpans was
+// called. Closing a zero Span, or any span on a nil Metrics, is a no-op.
+func (m *Metrics) EndSpan(sp *Span) {
+	if m == nil || sp.Start == 0 {
 		return
 	}
-	st := m.spanSt
-	now := time.Since(st.epoch).Nanoseconds()
-	st.mu.Lock()
-	if int(id) <= len(st.spans) {
-		sp := &st.spans[id-1]
-		sp.Dur = now - sp.Start
+	sp.Dur = nanotime() - sp.Start
+	switch {
+	case sp.Kind == SpanModule:
+		atomic.AddInt64(&m.totalNS, sp.Dur)
+	case sp.Kind == SpanRun:
+	case !sp.feedsPhase():
+		atomic.AddInt64(&m.wall[sp.phase], sp.Dur)
+	case sp.phase >= 0 && sp.phase < NumPhases:
+		atomic.AddInt64(&m.phases[sp.phase], sp.Dur)
+		if sp.outer != sp.phase && sp.outer >= 0 && sp.outer < NumPhases {
+			atomic.AddInt64(&m.phases[sp.outer], -sp.Dur)
+		}
 	}
-	st.mu.Unlock()
+	if st := m.spanSt; st != nil {
+		rec := *sp
+		rec.Start -= st.start
+		st.mu.Lock()
+		st.spans = append(st.spans, rec)
+		st.mu.Unlock()
+	}
 }
 
-// EndFuncSpan closes a function span, attaching its source position and the
-// per-function work counters shown by -hot.
-func (m *Metrics) EndFuncSpan(id SpanID, file string, line int, blocks, merges, clones int64) {
-	if m == nil || m.spanSt == nil || id == 0 {
-		return
+// BeginRunSpan opens the root run span and remembers its ID so nested
+// layers (CheckSources, the frontend and checking fan-outs) can attach to
+// it through RunSpan without threading it through every signature.
+func (m *Metrics) BeginRunSpan(name string) Span {
+	sp := m.StartSpan(SpanRun, NumPhases, name, nil, 0)
+	if sp.ID != 0 {
+		m.spanSt.run.Store(int64(sp.ID))
 	}
-	st := m.spanSt
-	now := time.Since(st.epoch).Nanoseconds()
-	st.mu.Lock()
-	if int(id) <= len(st.spans) {
-		sp := &st.spans[id-1]
-		sp.Dur = now - sp.Start
-		sp.File, sp.Line = file, line
-		sp.Blocks, sp.Merges, sp.Clones = blocks, merges, clones
-	}
-	st.mu.Unlock()
+	return sp
 }
 
-// BeginRunSpan opens the root run span and remembers it so nested layers
-// (CheckSources, the frontend and checking fan-outs) can attach without
-// threading the ID through every signature.
-func (m *Metrics) BeginRunSpan(name string) SpanID {
-	id := m.StartSpan(SpanRun, name, 0, 0)
-	if id != 0 {
-		atomic.StoreInt64(&m.spanSt.run, int64(id))
+// RunSpan returns a parent handle for the span opened by BeginRunSpan (a
+// handle with ID 0 if none).
+func (m *Metrics) RunSpan() Span {
+	sp := Span{Kind: SpanRun, phase: NumPhases}
+	if m != nil && m.spanSt != nil {
+		sp.ID = SpanID(m.spanSt.run.Load())
 	}
-	return id
+	return sp
 }
 
-// RunSpan returns the ID recorded by BeginRunSpan (0 if none).
-func (m *Metrics) RunSpan() SpanID {
-	if m == nil || m.spanSt == nil {
-		return 0
-	}
-	return SpanID(atomic.LoadInt64(&m.spanSt.run))
-}
-
-// Spans returns a copy of every recorded span in creation order.
+// Spans returns a copy of every recorded span in creation (ID) order.
 func (m *Metrics) Spans() []Span {
 	if m == nil || m.spanSt == nil {
 		return nil
@@ -168,6 +216,7 @@ func (m *Metrics) Spans() []Span {
 	out := make([]Span, len(st.spans))
 	copy(out, st.spans)
 	st.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
@@ -211,6 +260,7 @@ func WriteTraceEvents(w io.Writer, spans []Span) error {
 				"file":   sp.File,
 				"line":   sp.Line,
 				"blocks": sp.Blocks,
+				"edges":  sp.Edges,
 				"merges": sp.Merges,
 				"clones": sp.Clones,
 			}

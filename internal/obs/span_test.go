@@ -7,9 +7,10 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
-// Every new span API must be a no-op on a nil *Metrics — instrumented code
+// Every span API must be a no-op on a nil *Metrics — instrumented code
 // calls them unconditionally.
 func TestSpanNilMetricsNoOps(t *testing.T) {
 	var m *Metrics
@@ -17,37 +18,42 @@ func TestSpanNilMetricsNoOps(t *testing.T) {
 	if m.SpansEnabled() {
 		t.Error("nil Metrics reports spans enabled")
 	}
-	if id := m.StartSpan(SpanRun, "x", 0, 0); id != 0 {
-		t.Errorf("StartSpan on nil = %d, want 0", id)
+	if sp := m.StartSpan(SpanRun, NumPhases, "x", nil, 0); sp.ID != 0 {
+		t.Errorf("StartSpan on nil = %d, want 0", sp.ID)
 	}
-	m.EndSpan(1)
-	m.EndFuncSpan(1, "f.c", 1, 0, 0, 0)
-	if id := m.BeginRunSpan("run"); id != 0 {
-		t.Errorf("BeginRunSpan on nil = %d, want 0", id)
+	sp := Span{ID: 1, Kind: SpanFunction, Start: 1}
+	m.EndSpan(&sp)
+	if sp.Dur != 0 {
+		t.Errorf("EndSpan on nil set Dur = %d", sp.Dur)
 	}
-	if id := m.RunSpan(); id != 0 {
-		t.Errorf("RunSpan on nil = %d, want 0", id)
+	if sp := m.BeginRunSpan("run"); sp.ID != 0 {
+		t.Errorf("BeginRunSpan on nil = %d, want 0", sp.ID)
+	}
+	if sp := m.RunSpan(); sp.ID != 0 {
+		t.Errorf("RunSpan on nil = %d, want 0", sp.ID)
 	}
 	if sp := m.Spans(); sp != nil {
 		t.Errorf("Spans on nil = %v, want nil", sp)
 	}
-	m.TraceDiag(DiagEvent{})
 }
 
-// A Metrics without EnableSpans must also no-op (that is the provenance-off
-// hot path), and span IDs must stay 0 so callers can thread them blindly.
+// A Metrics without EnableSpans times spans but keeps none (the path every
+// metrics-only run takes), and span IDs stay 0.
 func TestSpanDisabledNoOps(t *testing.T) {
 	m := New()
 	if m.SpansEnabled() {
 		t.Error("spans enabled before EnableSpans")
 	}
-	if id := m.StartSpan(SpanPhase, "check", 0, 0); id != 0 {
-		t.Errorf("StartSpan disabled = %d, want 0", id)
+	sp := m.StartSpan(SpanPhase, PhaseSema, "sema", nil, 0)
+	if sp.ID != 0 {
+		t.Errorf("StartSpan disabled = %d, want 0", sp.ID)
 	}
-	m.EndSpan(3)
-	m.EndFuncSpan(3, "f.c", 1, 1, 2, 3)
+	m.EndSpan(&sp)
 	if got := m.Spans(); got != nil {
 		t.Errorf("Spans = %v, want nil", got)
+	}
+	if m.PhaseDuration(PhaseSema) != time.Duration(sp.Dur) {
+		t.Errorf("sema = %v, want the span's %d ns", m.PhaseDuration(PhaseSema), sp.Dur)
 	}
 }
 
@@ -55,26 +61,30 @@ func TestSpanHierarchyAndExport(t *testing.T) {
 	m := New()
 	m.EnableSpans()
 	run := m.BeginRunSpan("golclint")
-	if run == 0 || m.RunSpan() != run {
-		t.Fatalf("run span = %d, RunSpan = %d", run, m.RunSpan())
+	if run.ID == 0 || m.RunSpan().ID != run.ID {
+		t.Fatalf("run span = %d, RunSpan = %d", run.ID, m.RunSpan().ID)
 	}
-	mod := m.StartSpan(SpanModule, "mod", run, 0)
-	fn := m.StartSpan(SpanFunction, "f", mod, 2)
-	m.EndFuncSpan(fn, "a.c", 3, 7, 2, 5)
-	m.EndSpan(mod)
-	m.EndSpan(run)
+	mod := m.StartSpan(SpanModule, NumPhases, "mod", &run, 0)
+	fn := m.StartSpan(SpanFunction, PhaseCheck, "f", &mod, 2)
+	fn.File, fn.Line, fn.Blocks, fn.Edges, fn.Merges, fn.Clones = "a.c", 3, 7, 8, 2, 5
+	m.EndSpan(&fn)
+	m.EndSpan(&mod)
+	m.EndSpan(&run)
 
 	spans := m.Spans()
 	if len(spans) != 3 {
 		t.Fatalf("got %d spans, want 3", len(spans))
 	}
+	if spans[0].ID != run.ID || spans[1].ID != mod.ID {
+		t.Errorf("spans not in creation order: %+v", spans)
+	}
 	f := spans[2]
-	if f.Parent != mod || f.TID != 2 || f.File != "a.c" || f.Line != 3 ||
-		f.Blocks != 7 || f.Merges != 2 || f.Clones != 5 {
+	if f.Parent != mod.ID || f.TID != 2 || f.File != "a.c" || f.Line != 3 ||
+		f.Blocks != 7 || f.Edges != 8 || f.Merges != 2 || f.Clones != 5 {
 		t.Errorf("function span = %+v", f)
 	}
-	if f.Dur < 0 || spans[0].Dur < f.Dur {
-		t.Errorf("durations not nested: run %d, fn %d", spans[0].Dur, f.Dur)
+	if f.Dur < 0 || spans[0].Dur < f.Dur || f.Start < spans[0].Start {
+		t.Errorf("spans not nested: run %d+%d, fn %d+%d", spans[0].Start, spans[0].Dur, f.Start, f.Dur)
 	}
 
 	var buf bytes.Buffer
@@ -116,19 +126,20 @@ func TestSpanConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				id := m.StartSpan(SpanFunction, fmt.Sprintf("w%d_f%d", w, i), run, w)
-				m.EndFuncSpan(id, "x.c", i, int64(i), 1, 2)
+				sp := m.StartSpan(SpanFunction, PhaseCheck, fmt.Sprintf("w%d_f%d", w, i), &run, w)
+				sp.File, sp.Line, sp.Blocks, sp.Merges, sp.Clones = "x.c", i, int64(i), 1, 2
+				m.EndSpan(&sp)
 			}
 		}()
 	}
 	wg.Wait()
-	m.EndSpan(run)
+	m.EndSpan(&run)
 	spans := m.Spans()
 	if len(spans) != workers*perWorker+1 {
 		t.Fatalf("got %d spans, want %d", len(spans), workers*perWorker+1)
 	}
-	for _, sp := range spans[1:] {
-		if sp.Parent != run || sp.Dur < 0 {
+	for i, sp := range spans[1:] {
+		if sp.Parent != run.ID || sp.Dur < 0 || sp.ID <= spans[i].ID {
 			t.Errorf("bad span %+v", sp)
 		}
 	}
@@ -169,9 +180,7 @@ func TestHotFunctionsDeterministicTie(t *testing.T) {
 func TestJSONLTracerDiagEvents(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewJSONLTracer(&buf)
-	m := New()
-	m.SetTracer(tr)
-	m.TraceDiag(DiagEvent{Code: "mustfree", File: "a.c", Line: 4, Msg: "leak",
+	tr.Diag(DiagEvent{Code: "mustfree", File: "a.c", Line: 4, Msg: "leak",
 		Ref: "p", Witness: []string{"a.c:2: [alloc] fresh storage"}})
 	var ev map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &ev); err != nil {
@@ -179,5 +188,32 @@ func TestJSONLTracerDiagEvents(t *testing.T) {
 	}
 	if ev["type"] != "diag" || ev["code"] != "mustfree" {
 		t.Errorf("event = %v", ev)
+	}
+}
+
+// Function events render in serial function order — by enclosing check
+// span, then Seq — whatever order the workers closed the spans in, and only
+// function spans become events.
+func TestJSONLTracerFuncsSerialOrder(t *testing.T) {
+	spans := []Span{
+		{ID: 9, Parent: 5, Kind: SpanFunction, Name: "b1", Seq: 1},
+		{ID: 8, Parent: 2, Kind: SpanFunction, Name: "a2", Seq: 2},
+		{ID: 7, Parent: 5, Kind: SpanFunction, Name: "b0", Seq: 0},
+		{ID: 6, Parent: 2, Kind: SpanPhase, Name: "cfg"},
+		{ID: 4, Parent: 2, Kind: SpanFunction, Name: "a0", Seq: 0},
+		{ID: 3, Parent: 2, Kind: SpanFunction, Name: "a1", Seq: 1},
+	}
+	var buf bytes.Buffer
+	NewJSONLTracer(&buf).Funcs(spans)
+	var got []string
+	for _, ln := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev FuncEvent
+		if err := json.Unmarshal([]byte(ln), &ev); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, ev.Func)
+	}
+	if want := "a0 a1 a2 b0 b1"; strings.Join(got, " ") != want {
+		t.Errorf("order = %v, want %s", got, want)
 	}
 }

@@ -3,10 +3,12 @@ package obs
 import (
 	"encoding/json"
 	"io"
+	"sort"
 	"sync"
 )
 
-// FuncEvent describes the analysis of one function definition.
+// FuncEvent is the -trace record of one checked function, rendered from
+// its function span.
 type FuncEvent struct {
 	Func       string `json:"func"`
 	File       string `json:"file"`
@@ -34,21 +36,9 @@ type DiagEvent struct {
 	Validation string `json:"validation,omitempty"`
 }
 
-// Tracer receives one event per function checked. Implementations must be
-// safe for concurrent use.
-type Tracer interface {
-	TraceFunc(FuncEvent)
-}
-
-// DiagTracer is the optional extension a Tracer may implement to receive
-// per-diagnostic provenance events under -explain.
-type DiagTracer interface {
-	TraceDiag(DiagEvent)
-}
-
-// JSONLTracer writes one JSON object per line to an io.Writer. The first
-// write error is retained (see Err) and subsequent events are dropped, so a
-// failing sink cannot wedge the analysis.
+// JSONLTracer writes the -trace stream, one JSON object per line. The
+// first write error is retained (see Err) and subsequent events are
+// dropped, so a failing sink cannot wedge the analysis.
 type JSONLTracer struct {
 	mu  sync.Mutex
 	w   io.Writer
@@ -60,24 +50,39 @@ func NewJSONLTracer(w io.Writer) *JSONLTracer {
 	return &JSONLTracer{w: w}
 }
 
-// TraceFunc implements Tracer.
-func (t *JSONLTracer) TraceFunc(ev FuncEvent) {
-	b, err := json.Marshal(ev)
-	if err != nil {
-		return
+// Funcs writes one FuncEvent per function span in serial function order:
+// by enclosing check span, then by Seq. Workers close function spans in
+// any order, so the stream is byte-identical (durations aside) at every
+// worker count.
+func (t *JSONLTracer) Funcs(spans []Span) {
+	var fns []Span
+	for _, sp := range spans {
+		if sp.Kind == SpanFunction {
+			fns = append(fns, sp)
+		}
 	}
-	b = append(b, '\n')
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.err != nil {
-		return
+	sort.SliceStable(fns, func(i, j int) bool {
+		if fns[i].Parent != fns[j].Parent {
+			return fns[i].Parent < fns[j].Parent
+		}
+		return fns[i].Seq < fns[j].Seq
+	})
+	for _, sp := range fns {
+		t.write(FuncEvent{
+			Func: sp.Name, File: sp.File, Line: sp.Line,
+			Blocks: int(sp.Blocks), Edges: int(sp.Edges), Merges: int(sp.Merges),
+			DurationNS: sp.Dur,
+		})
 	}
-	_, t.err = t.w.Write(b)
 }
 
-// TraceDiag implements DiagTracer, writing one JSON object per diagnostic.
-func (t *JSONLTracer) TraceDiag(ev DiagEvent) {
+// Diag writes one diagnostic event.
+func (t *JSONLTracer) Diag(ev DiagEvent) {
 	ev.Type = "diag"
+	t.write(ev)
+}
+
+func (t *JSONLTracer) write(ev any) {
 	b, err := json.Marshal(ev)
 	if err != nil {
 		return

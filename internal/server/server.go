@@ -28,6 +28,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"runtime"
@@ -102,8 +103,9 @@ type Server struct {
 	memoHits  atomic.Int64
 	active    atomic.Int64
 
-	aggMu sync.Mutex
-	agg   map[string]int64
+	aggMu     sync.Mutex
+	agg       map[string]int64
+	aggPhases map[string]int64
 }
 
 // New builds a server with a fresh warm session.
@@ -122,14 +124,15 @@ func New(o Options) (*Server, error) {
 		return nil, err
 	}
 	return &Server{
-		opts:     o,
-		sess:     sess,
-		start:    time.Now(),
-		sem:      make(chan struct{}, o.MaxInFlight),
-		inflight: map[string]*flight{},
-		memo:     map[string][]byte{},
-		clients:  map[string]int{},
-		agg:      map[string]int64{},
+		opts:      o,
+		sess:      sess,
+		start:     time.Now(),
+		sem:       make(chan struct{}, o.MaxInFlight),
+		inflight:  map[string]*flight{},
+		memo:      map[string][]byte{},
+		clients:   map[string]int{},
+		agg:       map[string]int64{},
+		aggPhases: map[string]int64{},
 	}, nil
 }
 
@@ -448,7 +451,7 @@ func (s *Server) run(req *CheckRequest, key string) []byte {
 	resp.Stderr = errb.String()
 	snap := metrics.Snapshot()
 	resp.Counters = snap.Counters
-	s.aggregate(snap.Counters)
+	s.aggregate(snap)
 
 	b, err := json.Marshal(resp)
 	if err != nil { // a response we built ourselves always marshals
@@ -550,12 +553,16 @@ func (s *Server) release(client string) {
 	}
 }
 
-// aggregate folds one request's counters into the server totals.
-func (s *Server) aggregate(counters map[string]int64) {
+// aggregate folds one request's counters and phase totals into the
+// server totals.
+func (s *Server) aggregate(snap obs.Snapshot) {
 	s.aggMu.Lock()
 	defer s.aggMu.Unlock()
-	for k, v := range counters {
+	for k, v := range snap.Counters {
 		s.agg[k] += v
+	}
+	for k, v := range snap.PhasesNS {
+		s.aggPhases[k] += v
 	}
 }
 
@@ -578,15 +585,17 @@ type Stats struct {
 	CacheStores       map[string]cache.StoreStats `json:"cache_stores,omitempty"`
 	ResidentLibraries int                         `json:"resident_libraries"`
 	Counters          map[string]int64            `json:"counters"`
+	// PhasesNS are the cumulative per-phase durations of every computed
+	// request (memo hits and coalesced followers compute nothing), keyed
+	// like -stats-json's phases_ns.
+	PhasesNS map[string]int64 `json:"phases_ns"`
 }
 
 // StatsSnapshot returns the server's cumulative counters.
 func (s *Server) StatsSnapshot() Stats {
 	s.aggMu.Lock()
-	counters := make(map[string]int64, len(s.agg))
-	for k, v := range s.agg {
-		counters[k] = v
-	}
+	counters := maps.Clone(s.agg)
+	phases := maps.Clone(s.aggPhases)
 	s.aggMu.Unlock()
 	s.memoMu.Lock()
 	memoEntries, memoBytes := len(s.memo), s.memoBytes
@@ -606,6 +615,7 @@ func (s *Server) StatsSnapshot() Stats {
 		CacheStores:       s.sess.LayerStats(),
 		ResidentLibraries: s.sess.ResidentLibraries(),
 		Counters:          counters,
+		PhasesNS:          phases,
 	}
 }
 

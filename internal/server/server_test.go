@@ -238,6 +238,13 @@ func TestMethodsAndHealth(t *testing.T) {
 	if st.Counters["cache_misses"] != 1 {
 		t.Errorf("aggregated counters = %v", st.Counters)
 	}
+	// Per-phase totals accumulate alongside the counters: a cold check
+	// spends time in every frontend phase and in the checker.
+	for _, p := range []string{"preprocess", "cache_lookup", "parse", "sema", "check", "cache_write"} {
+		if st.PhasesNS[p] <= 0 {
+			t.Errorf("aggregated phases_ns[%s] = %d, want > 0 (%v)", p, st.PhasesNS[p], st.PhasesNS)
+		}
+	}
 	_ = srv
 }
 
