@@ -14,12 +14,32 @@
 //	-cfg function              print the function's control-flow graph
 //	-cache-dir dir             persist analysis results under dir and
 //	                           replay them for unchanged inputs
+//	-fn-cache=false            cache whole modules only (default: a dirty
+//	                           module re-checks only its edited functions)
+//	-cache-max-bytes n         bound the -cache-dir directory to n bytes,
+//	                           evicting the oldest entries (0 = unbounded)
+//	-remote-cache addr         layer a shared blob-cache server (see
+//	                           -cache-serve) below the disk cache
+//	-shard i/n                 check only shard i of n: each file is one
+//	                           module, assigned by a stable hash of its
+//	                           base name
 //	-jobs n                    number of concurrent checking workers
 //	                           (0 = GOMAXPROCS, 1 = serial; output is
 //	                           byte-identical at every worker count)
+//	-explain                   print each warning's witness path (branch
+//	                           decisions and state transitions)
+//	-validate                  replay each warning's witness in the
+//	                           interpreter and tag it confirmed,
+//	                           unreproduced or path-infeasible
 //	-stats                     print summary statistics
 //	-stats-json file           write run metrics + message counts as JSON
 //	-trace file                write per-function JSONL trace events
+//	-trace-out file            write hierarchical spans as Chrome
+//	                           trace_event JSON (Perfetto-loadable)
+//	-hot n                     print the n slowest functions by check time
+//	-diag-jsonl file           stream diagnostics as one JSON record per
+//	                           line (sorted shard streams merge into the
+//	                           single-process order)
 //	-cpuprofile file           write a pprof CPU profile
 //	-memprofile file           write a pprof heap profile
 //	-max n                     cap the number of reported messages
@@ -34,6 +54,10 @@
 //	                           state across restarts
 //	-serve-inflight n          max concurrent check computations
 //	-serve-per-client n        max in-flight requests per client (429 over)
+//	-cache-serve host:port     serve the -cache-dir directory as the shared
+//	                           blob cache behind -remote-cache and -shard
+//	                           fleets (GET/PUT /blob/{key}, GET /stats),
+//	                           bounded by -cache-max-bytes
 //
 // Exit status is 1 when anomalies were reported, 2 on usage or I/O errors.
 //

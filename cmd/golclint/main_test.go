@@ -1,9 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
+
+	"golclint/internal/cli"
 )
 
 func TestRunSample(t *testing.T) {
@@ -58,5 +63,28 @@ func TestRunEmployeeDatabase(t *testing.T) {
 	}
 	if code := run(files); code != 0 {
 		t.Fatalf("final database exit = %d, want 0 (clean)", code)
+	}
+}
+
+// Every flag cli.ParseConfig registers must be documented in the package
+// doc of main.go.
+func TestPackageDocListsEveryFlag(t *testing.T) {
+	var usage bytes.Buffer
+	if _, err := cli.ParseConfig([]string{"-h"}, &usage); err == nil {
+		t.Fatal("-h parsed without error; want flag.ErrHelp")
+	}
+	names := regexp.MustCompile(`(?m)^  -(\S+)`).FindAllStringSubmatch(usage.String(), -1)
+	if len(names) == 0 {
+		t.Fatalf("no flags in usage text:\n%s", usage.String())
+	}
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, _, _ := strings.Cut(string(src), "\npackage main")
+	for _, m := range names {
+		if !regexp.MustCompile(`(?m)^//\s+-` + regexp.QuoteMeta(m[1]) + `[\s=]`).MatchString(doc) {
+			t.Errorf("flag -%s is missing from the package doc", m[1])
+		}
 	}
 }

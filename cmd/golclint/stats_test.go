@@ -109,6 +109,9 @@ func statsLineCounts(out string) map[string]int {
 	return counts
 }
 
+// The run is pinned to -jobs 1: only there are the phase spans disjoint
+// and nested in the module span, so that their sum cannot exceed
+// total_ns. At higher -jobs the fan-out phases add up per-worker time.
 func TestStatsJSONAndTrace(t *testing.T) {
 	src := writeFixture(t)
 	dir := t.TempDir()
@@ -116,7 +119,7 @@ func TestStatsJSONAndTrace(t *testing.T) {
 	tracePath := filepath.Join(dir, "trace.jsonl")
 
 	statsOut := capture(t, func() {
-		if code := run([]string{"-stats", "-stats-json", jsonPath, "-trace", tracePath, src}); code != 1 {
+		if code := run([]string{"-jobs", "1", "-stats", "-stats-json", jsonPath, "-trace", tracePath, src}); code != 1 {
 			t.Errorf("exit = %d, want 1", code)
 		}
 	})

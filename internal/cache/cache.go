@@ -150,9 +150,12 @@ func (c *Cache) scanLocked() {
 }
 
 // recordLocked notes one written entry and evicts if the bound is
-// exceeded.
+// exceeded. Before a bound or Stats has built the index there is nothing
+// to update: the scan that builds it later finds the entry on disk.
 func (c *Cache) recordLocked(key string, size int64) {
-	c.scanLocked()
+	if !c.scanned {
+		return
+	}
 	if old, ok := c.index[key]; ok {
 		c.usage -= old.size
 	}

@@ -87,6 +87,6 @@ fleet warm
 cmp "$WORK/single.sorted" "$WORK/warm.sorted" || {
     echo "shard.sh: warm merged stream differs from single-process run" >&2; exit 1; }
 
-HITS=$(curl -sf "http://127.0.0.1:$PORT/stats" | python3 -c 'import json,sys; print(json.load(sys.stdin)["store"]["hits"])')
+HITS=$(curl -sf "http://127.0.0.1:$PORT/stats" | jq -r .store.hits)
 [ "$HITS" -gt 0 ] || { echo "shard.sh: warm fleet produced no remote cache hits" >&2; exit 1; }
 echo "shard.sh: warm $N-shard merge identical; remote store served $HITS hits"
