@@ -56,8 +56,9 @@ type record struct {
 	GoVersion  string `json:"go_version"`
 	GOOS       string `json:"goos"`
 	GOARCH     string `json:"goarch"`
-	// Quick marks a -quick run.
+	// Quick marks a -quick run, Race a binary built with -race.
 	Quick bool `json:"quick"`
+	Race  bool `json:"race,omitempty"`
 	// ElapsedNS is the scenario's wall time and AllocBytes the heap it
 	// allocated (MemStats.TotalAlloc delta). PeakHeapBytes is the heap
 	// obtained from the OS by its end (MemStats.HeapSys), an upper bound on
@@ -100,8 +101,12 @@ type cond struct {
 	// host, so go test leaves it to the lclbench binary.
 	timing bool
 	// full marks a condition that needs the full-size corpus.
-	full  bool
-	holds func(r *record) bool
+	full bool
+	// pooled marks an allocation figure that relies on sync.Pool keeping
+	// what is put back. Under the race detector the pool drops items at
+	// random, so race-built records skip it.
+	pooled bool
+	holds  func(r *record) bool
 }
 
 // isTrue is the condition that the named check passed.
@@ -110,12 +115,12 @@ func isTrue(check string) cond {
 }
 
 // violations returns the conditions of gate that r fails. Full-size
-// conditions are skipped on quick records, and timing conditions unless
-// timing is set.
+// conditions are skipped on quick records, pooled ones on race-built
+// records, and timing conditions unless timing is set.
 func violations(gate []cond, r *record, timing bool) []cond {
 	var failed []cond
 	for _, c := range gate {
-		if (c.full && r.Quick) || (c.timing && !timing) {
+		if (c.full && r.Quick) || (c.pooled && r.Race) || (c.timing && !timing) {
 			continue
 		}
 		if !c.holds(r) {
@@ -139,7 +144,7 @@ func measure(s *scenario, quick bool) (*record, error) {
 	r := &record{
 		Schema: schema, Experiment: s.id, Scenario: s.name,
 		GoVersion: runtime.Version(), GOOS: runtime.GOOS, GOARCH: runtime.GOARCH,
-		Quick: quick, Metrics: map[string]float64{}, Checks: map[string]bool{},
+		Quick: quick, Race: raceEnabled, Metrics: map[string]float64{}, Checks: map[string]bool{},
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -73,7 +73,8 @@ var shapes = map[string]shape{
 	"serve": {
 		positive: []string{"lines", "cold_cli_ns", "cold_server_ns", "speedup_warm", "throughput_rps",
 			"cache_entries", "cache_bytes"},
-		equal: map[string]float64{"modules": 8, "warm_reqs": 20, "clients": 4, "burst_reqs": 4 * 2 * 8},
+		equal: map[string]float64{"modules": 8, "rounds": serveRounds, "warm_reqs": 20, "clients": 4,
+			"burst_reqs": 4 * 2 * 8},
 	},
 	"distributed": {
 		positive: []string{"fleet_lines", "cold_single_ns", "cold_fleet_warm_remote_ns", "fleet_speedup",
@@ -83,7 +84,8 @@ var shapes = map[string]shape{
 		rowPositive: []string{"lines", "check_ms", "ms_per_kloc", "messages"},
 	},
 	"editloop": {
-		positive: []string{"lines", "cold_ms", "warm_ms", "dirty_fn_ms", "dirty_mod_ms", "speedup_dirty",
+		positive: []string{"lines", "cold_ms", "cold_mod_ms", "cold_alloc_bytes", "cold_mod_alloc_bytes",
+			"cold_fn_entries", "cold_fn_cost_ratio", "warm_ms", "dirty_fn_ms", "dirty_mod_ms", "speedup_dirty",
 			"messages"},
 		equal: map[string]float64{"modules": 4, "funcs_per": 3, "reps": 3, "speedup_gate": editloopSpeedupGate,
 			"parity_runs": 3 * 3},
@@ -401,16 +403,21 @@ var gateCases = map[string]struct {
 	"editloop": {
 		pass: func() *record {
 			return gateRecord(map[string]float64{"func_cache_misses": 1, "func_cache_hits": 15,
-				"annot_edit_func_misses": 16, "speedup_dirty": 13.3, "speedup_gate": 5},
+				"annot_edit_func_misses": 16, "speedup_dirty": 13.3, "speedup_gate": 5,
+				"cold_fn_extra_alloc_per_entry": 15000, "cold_fn_cost_ratio": 0.93},
 				map[string]bool{"parity_plain": true, "parity_explain": true, "parity_validate": true})
 		},
 		breaks: map[string]func(*record){
-			"func_cache_misses == 1":        func(r *record) { r.Metrics["func_cache_misses"] = 2 },
-			"func_cache_hits > 0":           func(r *record) { r.Metrics["func_cache_hits"] = 0 },
-			"annot_edit_func_misses > 1":    func(r *record) { r.Metrics["annot_edit_func_misses"] = 1 },
-			"parity_plain":                  func(r *record) { r.Checks["parity_plain"] = false },
-			"parity_explain":                func(r *record) { r.Checks["parity_explain"] = false },
-			"parity_validate":               func(r *record) { r.Checks["parity_validate"] = false },
+			"func_cache_misses == 1":     func(r *record) { r.Metrics["func_cache_misses"] = 2 },
+			"func_cache_hits > 0":        func(r *record) { r.Metrics["func_cache_hits"] = 0 },
+			"annot_edit_func_misses > 1": func(r *record) { r.Metrics["annot_edit_func_misses"] = 1 },
+			"parity_plain":               func(r *record) { r.Checks["parity_plain"] = false },
+			"parity_explain":             func(r *record) { r.Checks["parity_explain"] = false },
+			"parity_validate":            func(r *record) { r.Checks["parity_validate"] = false },
+			"cold_fn_extra_alloc_per_entry <= 65536": func(r *record) {
+				r.Metrics["cold_fn_extra_alloc_per_entry"] = 70000
+			},
+			"cold_fn_cost_ratio <= 1.2":     func(r *record) { r.Metrics["cold_fn_cost_ratio"] = 1.25 },
 			"speedup_dirty >= speedup_gate": func(r *record) { r.Metrics["speedup_dirty"] = 4.9 },
 		},
 	},
@@ -427,7 +434,8 @@ func condNames(cs []cond) []string {
 
 // Each gate passes its passing record and reports exactly the one
 // condition each violating record breaks. go test leaves timing conditions
-// to the binary, and quick records skip full-size conditions.
+// to the binary, quick records skip full-size conditions, and race-built
+// records skip pooled ones.
 func TestGateConditions(t *testing.T) {
 	for i := range scenarios {
 		s := &scenarios[i]
@@ -464,6 +472,10 @@ func TestGateConditions(t *testing.T) {
 			r.Quick = true
 			if got := violations(s.gate, r, true); c.full != (len(got) == 0) {
 				t.Errorf("%s: %q (full=%v) reported on a quick record as %q", s.name, c.name, c.full, condNames(got))
+			}
+			r.Quick, r.Race = false, true
+			if got := violations(s.gate, r, true); c.pooled != (len(got) == 0) {
+				t.Errorf("%s: %q (pooled=%v) reported on a race-built record as %q", s.name, c.name, c.pooled, condNames(got))
 			}
 		}
 	}
